@@ -18,7 +18,6 @@
 //! | §3.4 / Eq. 4: χ²-merging of public-attribute values | [`generalize`] |
 //! | §5: the SPS algorithm (record- and histogram-level) | [`mod@sps`] |
 //! | §6: count-query estimation `est = \|S*\|·F′` | [`estimate`] |
-//! | ρ1-ρ2 / l-diversity / t-closeness side criteria | [`criteria`] |
 //! | §5's rejected alternatives (reduce-p, suppression) | [`alternatives`] |
 //! | §3.1's record-insertion story as a live publisher | [`incremental`] |
 //! | Estimator variance / confidence intervals | [`variance`] |
@@ -71,7 +70,6 @@
 
 pub mod alternatives;
 pub mod audit;
-pub mod criteria;
 pub mod em;
 pub mod estimate;
 pub mod generalize;

@@ -10,6 +10,13 @@
 //! (initially the catalog's default), so old transcripts replay
 //! unchanged.
 //!
+//! A catalog is also how a single release is served:
+//! [`Catalog::single`] builds a one-entry *bare* catalog, which speaks
+//! the single-release dialect of the protocol — its `HELLO` carries no
+//! `release=` token, the catalog verbs answer `unknown-release`, and
+//! every request, parse errors and refusals included, is charged to the
+//! release's own counters.
+//!
 //! ## Leases and lifecycle
 //!
 //! Every request checks out a [`Lease`] on its target release: a cheap
@@ -172,11 +179,25 @@ struct Tenant {
     reloading: Arc<AtomicBool>,
 }
 
+impl Tenant {
+    fn new(service: Arc<QueryService>, source: Option<TenantSource>) -> Self {
+        Self {
+            service,
+            source,
+            busy: Arc::new(AtomicU64::new(0)),
+            closing: Arc::new(AtomicBool::new(false)),
+            reloading: Arc::new(AtomicBool::new(false)),
+        }
+    }
+}
+
 /// A catalog of named releases behind one server. See the
 /// [module docs](self) for the lease/close/reload lifecycle.
 #[derive(Debug)]
 pub struct Catalog {
     default: String,
+    /// Set by [`Catalog::single`]: the catalog serves one unnamed release.
+    bare: bool,
     state: Mutex<BTreeMap<String, Tenant>>,
     drained: Condvar,
     /// Bumped by every open, close and reload; sessions revalidate their
@@ -224,10 +245,25 @@ impl Catalog {
         }
         Ok(Self {
             default: default.to_string(),
+            bare: false,
             state: Mutex::new(BTreeMap::new()),
             drained: Condvar::new(),
             epoch: AtomicU64::new(0),
         })
+    }
+
+    /// A *bare* catalog serving `service` as its only release (see the
+    /// [module docs](self)). The release is registered under the default
+    /// name `default`, which never reaches the wire.
+    pub fn single(service: Arc<QueryService>) -> Self {
+        let name = "default".to_string();
+        Self {
+            default: name.clone(),
+            bare: true,
+            state: Mutex::new(BTreeMap::from([(name, Tenant::new(service, None))])),
+            drained: Condvar::new(),
+            epoch: AtomicU64::new(0),
+        }
     }
 
     /// The current topology epoch (see the [module docs](self)).
@@ -323,16 +359,7 @@ impl Catalog {
         if state.contains_key(name) {
             return Err(CatalogError::AlreadyOpen(name.to_string()));
         }
-        state.insert(
-            name.to_string(),
-            Tenant {
-                service,
-                source,
-                busy: Arc::new(AtomicU64::new(0)),
-                closing: Arc::new(AtomicBool::new(false)),
-                reloading: Arc::new(AtomicBool::new(false)),
-            },
-        );
+        state.insert(name.to_string(), Tenant::new(service, source));
         self.bump_epoch();
         Ok(())
     }
@@ -641,7 +668,8 @@ fn count_local(session: &mut SessionStats, response: &Response) {
 /// Tenant-bound requests are charged to the target release's own
 /// aggregate counters (via [`QueryService::handle`]); catalog-level verbs
 /// (`use`, `releases`, `reload`, routing failures, parse errors) are
-/// counted in the [`SessionStats`] only.
+/// counted in the [`SessionStats`] only — except on a bare catalog, which
+/// charges them to its one release.
 #[derive(Debug)]
 pub struct CatalogSession<'a> {
     catalog: &'a Catalog,
@@ -688,8 +716,9 @@ impl<'a> CatalogSession<'a> {
     }
 
     /// The session banner: the current release's parameters plus its
-    /// catalog name as the trailing `release=` token. An unopened default
-    /// yields the routing error instead (the transport should close).
+    /// catalog name as the trailing `release=` token (none on a bare
+    /// catalog). An unopened default yields the routing error instead
+    /// (the transport should close).
     pub fn hello(&self) -> Response {
         match self.catalog.checkout(&self.current) {
             Ok(lease) => {
@@ -700,7 +729,7 @@ impl<'a> CatalogSession<'a> {
                     records,
                     groups,
                     p,
-                    release: Some(self.current.clone()),
+                    release: (!self.catalog.bare).then(|| self.current.clone()),
                 }
             }
             Err(e) => e.wire(),
@@ -708,28 +737,53 @@ impl<'a> CatalogSession<'a> {
     }
 
     /// Handles one raw request line — the catalog counterpart of
-    /// [`QueryService::handle_line`]. Returns `None` for blank lines.
+    /// [`QueryService::handle_line`], with the same stage timing. Returns
+    /// `None` for blank lines.
     pub fn handle_line(&mut self, line: &str, session: &mut SessionStats) -> Option<Response> {
-        match Request::parse(line) {
-            Ok(None) => None,
-            Ok(Some(request)) => Some(self.handle(&request, session)),
-            Err(e) => {
-                let response = Response::from(e);
-                count_local(session, &response);
-                Some(response)
-            }
+        crate::service::answer_line(line, |parsed| match parsed {
+            Ok(request) => self.handle(&request, session),
+            Err(e) => self.answer_locally(Response::from(e), session),
+        })
+    }
+
+    /// Counts a response the routing layer produced itself (a catalog
+    /// verb, a routing failure, a parse error): into the session only on
+    /// a named catalog, and into the one release's counters as well on a
+    /// bare catalog.
+    pub(crate) fn answer_locally(
+        &mut self,
+        response: Response,
+        session: &mut SessionStats,
+    ) -> Response {
+        if !self.catalog.bare {
+            count_local(session, &response);
+            return response;
         }
+        self.route_current(session, |service, session| {
+            service.count(&response, session);
+            response
+        })
     }
 
     /// Handles one typed request: catalog verbs are answered here,
     /// everything else checks out the target release and delegates.
     pub fn handle(&mut self, request: &Request, session: &mut SessionStats) -> Response {
-        match request {
+        let response = match request {
+            Request::Use(_) | Request::Releases | Request::Reload(_) | Request::At { .. }
+                if self.catalog.bare =>
+            {
+                Response::Error {
+                    code: ErrorCode::UnknownRelease,
+                    message: "this server hosts a single release; catalog verbs need \
+                              `rpctl serve --release NAME=PATH ...`"
+                        .to_string(),
+                }
+            }
             Request::Use(name) => {
                 // Epoch before checkout: if a reload slips in between,
                 // the cache is tagged stale and the next request re-routes.
                 let epoch = self.catalog.epoch_now();
-                let response = match self.catalog.checkout(name) {
+                match self.catalog.checkout(name) {
                     Ok(lease) => {
                         let (sa, records, groups, p) = lease.release_summary();
                         self.current = name.clone();
@@ -743,43 +797,38 @@ impl<'a> CatalogSession<'a> {
                         }
                     }
                     Err(e) => e.wire(),
-                };
-                count_local(session, &response);
-                response
-            }
-            Request::Releases => {
-                let response = Response::Releases(self.catalog.list());
-                count_local(session, &response);
-                response
-            }
-            Request::Reload(name) => {
-                let response = match self.catalog.reload_from_source(name) {
-                    Ok((records, groups)) => Response::Reloaded {
-                        release: name.clone(),
-                        records,
-                        groups,
-                    },
-                    Err(e) => e.wire(),
-                };
-                count_local(session, &response);
-                response
-            }
-            Request::At { release, inner } => match self.catalog.checkout(release) {
-                Ok(lease) => lease.handle(inner, session),
-                Err(e) => {
-                    let response = e.wire();
-                    count_local(session, &response);
-                    response
                 }
+            }
+            Request::Releases => Response::Releases(self.catalog.list()),
+            Request::Reload(name) => match self.catalog.reload_from_source(name) {
+                Ok((records, groups)) => Response::Reloaded {
+                    release: name.clone(),
+                    records,
+                    groups,
+                },
+                Err(e) => e.wire(),
             },
-            unqualified => self.route_current(unqualified, session),
-        }
+            Request::At { release, inner } => match self.catalog.checkout(release) {
+                Ok(lease) => return lease.handle(inner, session),
+                Err(e) => e.wire(),
+            },
+            unqualified => {
+                return self.route_current(session, |service, session| {
+                    service.handle(unqualified, session)
+                })
+            }
+        };
+        self.answer_locally(response, session)
     }
 
-    /// Routes an un-qualified request to the current release: the cached
-    /// fast path when the epoch still matches, a full checkout (which
-    /// repopulates the cache) otherwise.
-    fn route_current(&mut self, request: &Request, session: &mut SessionStats) -> Response {
+    /// Runs `answer` against the current release: the cached fast path
+    /// when the epoch still matches, a full checkout (which repopulates
+    /// the cache) otherwise.
+    fn route_current(
+        &mut self,
+        session: &mut SessionStats,
+        answer: impl FnOnce(&QueryService, &mut SessionStats) -> Response,
+    ) -> Response {
         let epoch = self.catalog.epoch_now();
         if let Some(route) = self.route.as_ref().filter(|r| r.epoch == epoch) {
             route.busy.fetch_add(1, Ordering::SeqCst);
@@ -791,7 +840,7 @@ impl<'a> CatalogSession<'a> {
                 release_unit(self.catalog, &route.busy, &route.closing);
             } else {
                 crate::obs::global().inc("catalog.route_fast");
-                let response = route.service.handle(request, session);
+                let response = answer(&route.service, session);
                 release_unit(self.catalog, &route.busy, &route.closing);
                 return response;
             }
@@ -801,7 +850,7 @@ impl<'a> CatalogSession<'a> {
         match self.catalog.checkout(&self.current) {
             Ok(lease) => {
                 self.route = Some(RouteCache::from_lease(epoch, &lease));
-                lease.handle(request, session)
+                answer(&lease, session)
             }
             Err(e) => {
                 let response = e.wire();
@@ -1304,19 +1353,54 @@ mod tests {
 
     #[test]
     fn catalog_verbs_on_a_bare_service_answer_unknown_release() {
-        let s = service(400);
+        let release = service(400);
+        let catalog = Catalog::single(Arc::clone(&release));
+        let mut s = CatalogSession::new(&catalog);
         let mut stats = SessionStats::default();
+        let Response::Hello { release: name, .. } = s.hello() else {
+            panic!("expected hello");
+        };
+        assert_eq!(name, None, "a bare catalog's banner names no release");
         for line in [
             "use beta",
             "releases",
             "reload beta",
             "count@beta Job=eng Disease=flu",
+            "garbage",
         ] {
             let r = s.handle_line(line, &mut stats).unwrap();
             let Response::Error { code, .. } = r else {
                 panic!("expected error for `{line}`, got {r:?}");
             };
-            assert_eq!(code, ErrorCode::UnknownRelease, "line `{line}`");
+            let want = if line == "garbage" {
+                ErrorCode::UnknownCommand
+            } else {
+                ErrorCode::UnknownRelease
+            };
+            assert_eq!(code, want, "line `{line}`");
+        }
+        // Refusals and parse errors are the release's own requests.
+        assert_eq!(release.stats().requests, 5);
+        assert_eq!(release.stats().errors, 5);
+        assert_eq!(stats.errors, 5);
+    }
+
+    #[test]
+    fn routed_lines_record_the_service_stage_histograms() {
+        let obs = crate::obs::global();
+        let stages = ["service.parse", "service.execute", "service.handle"];
+        let counts = || stages.map(|name| obs.histogram(name).snapshot().count);
+        let before = counts();
+        let catalog = two_tenant_catalog();
+        let mut s = CatalogSession::new(&catalog);
+        let mut stats = SessionStats::default();
+        // Sampling records one line in 8, so route a few samples' worth.
+        for _ in 0..4 * crate::obs::SAMPLE_EVERY {
+            s.handle_line("count@beta Job=eng Disease=flu", &mut stats);
+        }
+        let after = counts();
+        for ((name, before), after) in stages.iter().zip(before).zip(after) {
+            assert!(after > before, "{name}: {before} -> {after}");
         }
     }
 }

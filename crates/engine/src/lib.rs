@@ -34,6 +34,8 @@
 //!                  ▼                        ▼
 //!             service::QueryService (answer cache, counters)
 //!                  │
+//!             catalog::Catalog (one release, or N named releases)
+//!                  │
 //!          protocol::Request/Response (one canonical line codec)
 //!                  │
 //!        server: stdio serve() loop │ TCP thread-per-connection
@@ -56,19 +58,20 @@
 //!   / aggregate serve counters, and (in streaming mode) the live view —
 //!   answers merge base and live counts, and an insert invalidates
 //!   exactly the cached answers whose match set contains its group;
+//! * [`catalog`] — what a transport serves: a [`Catalog`] hosts N named
+//!   releases (each its own [`QueryService`] — caches, counters and
+//!   streams are per-tenant by construction) with open/close/hot-reload
+//!   lifecycle and lease-based drain, and [`CatalogSession`] routes the
+//!   rp/3 verbs (`use`, `releases`, `reload`, `verb@release`). A single
+//!   release is served as a one-entry catalog ([`Catalog::single`]) whose
+//!   sessions speak the single-release dialect: no `release=` banner
+//!   token, and the catalog verbs answer `unknown-release`;
 //! * [`server`] — the transports: [`serve()`](serve::serve) runs one
-//!   session over any `BufRead`/`Write` pair (stdin/stdout included), and
-//!   [`Server`] is a TCP listener running that same loop
-//!   thread-per-connection over the shared service, with a connection cap
+//!   catalog session over any `BufRead`/`Write` pair (stdin/stdout
+//!   included), and [`Server`] is a TCP listener running that same loop
+//!   thread-per-connection over the shared catalog, with a connection cap
 //!   and graceful shutdown. Both surfaces answer a given request stream
 //!   byte-identically;
-//! * [`catalog`] — multi-tenancy: a [`Catalog`] hosts N named releases
-//!   (each its own [`QueryService`] — caches, counters and streams are
-//!   per-tenant by construction) with open/close/hot-reload lifecycle and
-//!   lease-based drain, and [`CatalogSession`] routes the rp/3 verbs
-//!   (`use`, `releases`, `reload`, `verb@release`) over either transport
-//!   via [`serve_catalog()`](serve::serve_catalog) /
-//!   [`Server::bind_catalog`];
 //! * [`fault`] — deterministic fault injection: an injectable I/O
 //!   facade ([`fault::FaultIo`], default passthrough) threaded through
 //!   every durable writer, driven by a seeded counter-based schedule so
@@ -162,7 +165,7 @@ pub use protocol::{
 };
 pub use publication::{DesignCheck, LiveGroupSnapshot, LiveState, Publication, PublicationError};
 pub use publisher::{PublishError, Publisher};
-pub use serve::{serve, serve_catalog};
+pub use serve::serve;
 pub use server::{Server, ServerConfig, ServerHandle, ShutdownHandle};
 pub use service::{QueryService, ServiceConfig, SessionStats};
 pub use stream::{InsertOutcome, StreamConfig, StreamError, StreamPublisher};

@@ -1,12 +1,13 @@
 //! The line-oriented session loop: one transport function shared by
 //! every surface.
 //!
-//! [`serve`] drives a [`QueryService`] over any `BufRead`/`Write` pair —
+//! [`serve`] drives a [`Catalog`] over any `BufRead`/`Write` pair —
 //! stdin/stdout for `rpctl serve`, a `TcpStream` for each connection of
-//! [`crate::server::Server`]. Because both surfaces run this exact
-//! function over the same shared service, a given request stream produces
-//! byte-identical response bytes on either transport (the root
-//! integration suite proves it).
+//! [`crate::server::Server`]. A single release is served as a one-entry
+//! catalog ([`Catalog::single`]), so there is exactly one loop, and
+//! because both surfaces run it over the same shared catalog, a given
+//! request stream produces byte-identical response bytes on either
+//! transport (the root integration suite proves it).
 //!
 //! A session opens with the versioned `HELLO` banner, then answers one
 //! request per line until `quit` or end of input:
@@ -25,72 +26,34 @@
 //!
 //! Protocol-level failures answer a structured `error code=...` line and
 //! the loop keeps serving — a bad request must never take a session down.
-//! Only transport I/O errors abort the session. That includes the
-//! per-connection read/write deadlines [`crate::server::Server`] may arm:
-//! when a socket read times out, the blocking read surfaces
-//! `WouldBlock`/`TimedOut`, the server treats the session as idle and
-//! reaps it cleanly (the connection slot is released; nothing is logged
-//! as a failure). Degraded backends still serve — writes answer
-//! `error code=degraded` while reads keep flowing (see
+//! That includes unreadable bytes: a line that is not UTF-8, or whose
+//! newline does not arrive within 64 KiB, answers `error code=parse` (an
+//! over-long line is skipped up to its newline), so one session's read
+//! buffer stays bounded. Only transport I/O errors abort the session.
+//! That includes the per-connection read/write deadlines
+//! [`crate::server::Server`] may arm: when a socket read times out, the
+//! blocking read surfaces `WouldBlock`/`TimedOut`, the server treats the
+//! session as idle and reaps it cleanly (the connection slot is released;
+//! nothing is logged as a failure). Degraded backends still serve —
+//! writes answer `error code=degraded` while reads keep flowing (see
 //! [`crate::service::QueryService`]).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use crate::catalog::{Catalog, CatalogSession};
-use crate::service::{QueryService, SessionStats};
+use crate::protocol::{ErrorCode, Response};
+use crate::service::SessionStats;
 
-/// Runs one serve session: `HELLO` banner, then request/response lines
-/// from `input` to `output` until `quit` or end of input. Returns the
-/// session counters (aggregate counters accumulate on `service`).
-///
-/// # Errors
-///
-/// Returns only I/O errors on the transport; protocol-level problems are
-/// reported to the client as `error code=...` lines.
-pub fn serve<R: BufRead, W: Write>(
-    service: &QueryService,
-    input: R,
-    mut output: W,
-) -> io::Result<SessionStats> {
-    let obs = crate::obs::global();
-    let session_start = obs.now_ns();
-    obs.inc("serve.sessions_opened");
-    obs.trace("session.open");
-    service.session_started();
-    let mut session = SessionStats::default();
-    writeln!(output, "{}", service.hello().encode())?;
-    output.flush()?;
-    for line in input.lines() {
-        let line = line?;
-        // Always-on per-request latency (parse through write+flush):
-        // records into `serve.request` when the guard drops at the end
-        // of this iteration — including the `bye` break path.
-        let _request_span = obs.span("serve.request");
-        let Some(response) = service.handle_line(&line, &mut session) else {
-            continue; // blank line
-        };
-        let t0 = obs.sampled_start("serve.encode");
-        let text = response.encode();
-        if let Some(t0) = t0 {
-            obs.record("serve.encode", obs.now_ns().saturating_sub(t0));
-        }
-        writeln!(output, "{text}")?;
-        output.flush()?;
-        if matches!(response, crate::protocol::Response::Bye) {
-            break;
-        }
-    }
-    obs.inc("serve.sessions_closed");
-    obs.trace("session.close");
-    obs.record("serve.session", obs.now_ns().saturating_sub(session_start));
-    Ok(session)
-}
+/// Longest request line a session reads, newline included. A line whose
+/// newline has not arrived within this many bytes is refused and skipped.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// Runs one *catalog* serve session: the same loop as [`serve`], but
-/// requests route through a [`CatalogSession`] so the rp/3 verbs
-/// (`use`/`releases`/`reload`/`verb@release`) work and un-qualified verbs
-/// hit the catalog's default release. The session start is charged to the
-/// default release's counters.
+/// Runs one serve session over `catalog`: the `HELLO` banner, then
+/// request/response lines from `input` to `output` until `quit` or end
+/// of input. Requests route through a [`CatalogSession`] that starts on
+/// the catalog's default release, which is charged the session start.
+/// Returns the session counters (aggregate counters accumulate on the
+/// releases).
 ///
 /// If the catalog's default release is not open, the banner position
 /// carries the routing error and the session ends immediately.
@@ -99,9 +62,9 @@ pub fn serve<R: BufRead, W: Write>(
 ///
 /// Returns only I/O errors on the transport; protocol-level problems are
 /// reported to the client as `error code=...` lines.
-pub fn serve_catalog<R: BufRead, W: Write>(
+pub fn serve<R: BufRead, W: Write>(
     catalog: &Catalog,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> io::Result<SessionStats> {
     let obs = crate::obs::global();
@@ -122,10 +85,17 @@ pub fn serve_catalog<R: BufRead, W: Write>(
         obs.trace("session.close");
         return Ok(session);
     }
-    for line in input.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    while let Some(line) = read_request(&mut input, &mut buf)? {
+        // Always-on per-request latency (parse through write+flush):
+        // records into `serve.request` when the guard drops at the end
+        // of this iteration — including the `bye` break path.
         let _request_span = obs.span("serve.request");
-        let Some(response) = routing.handle_line(&line, &mut session) else {
+        let response = match line {
+            Ok(line) => routing.handle_line(line, &mut session),
+            Err(unreadable) => Some(routing.answer_locally(unreadable, &mut session)),
+        };
+        let Some(response) = response else {
             continue; // blank line
         };
         let t0 = obs.sampled_start("serve.encode");
@@ -135,7 +105,7 @@ pub fn serve_catalog<R: BufRead, W: Write>(
         }
         writeln!(output, "{text}")?;
         output.flush()?;
-        if matches!(response, crate::protocol::Response::Bye) {
+        if matches!(response, Response::Bye) {
             break;
         }
     }
@@ -145,13 +115,52 @@ pub fn serve_catalog<R: BufRead, W: Write>(
     Ok(session)
 }
 
+/// Reads the next request line into `buf`, stripping its `\n` (and a
+/// `\r` before it) exactly as `BufRead::lines` does. Returns `None` at
+/// end of input, and the `error code=parse` answer for a line that is not
+/// UTF-8 or is longer than [`MAX_LINE_BYTES`] — the rest of which is
+/// skipped unbuffered — so `buf` never holds more than the cap.
+fn read_request<'b, R: BufRead>(
+    input: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, Response>>> {
+    let parse_error = |message: String| Response::Error {
+        code: ErrorCode::Parse,
+        message,
+    };
+    buf.clear();
+    if input
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', buf)?
+        == 0
+    {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() == MAX_LINE_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(Some(Err(parse_error(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes; skipped"
+        )))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|_| {
+        parse_error("request line is not valid UTF-8".to_string())
+    })))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{Response, PROTOCOL_VERSION};
     use crate::publisher::Publisher;
-    use crate::service::ServiceConfig;
+    use crate::service::{QueryService, ServiceConfig};
     use rp_table::{Attribute, Schema, TableBuilder};
+    use std::sync::Arc;
 
     fn fixture_service() -> QueryService {
         let schema = Schema::new(vec![
@@ -170,9 +179,13 @@ mod tests {
     }
 
     fn run(input: &str) -> (String, SessionStats) {
-        let service = fixture_service();
+        run_bytes(input.as_bytes())
+    }
+
+    fn run_bytes(input: &[u8]) -> (String, SessionStats) {
+        let catalog = Catalog::single(Arc::new(fixture_service()));
         let mut out = Vec::new();
-        let stats = serve(&service, input.as_bytes(), &mut out).unwrap();
+        let stats = serve(&catalog, input, &mut out).unwrap();
         (String::from_utf8(out).unwrap(), stats)
     }
 
@@ -250,9 +263,34 @@ mod tests {
     }
 
     #[test]
+    fn unreadable_lines_answer_parse_errors_and_stay_within_the_cap() {
+        let mut input = b"\xff\n".to_vec();
+        input.extend(std::iter::repeat_n(b'x', 1 << 20));
+        input.extend(b"\ncount Job=eng Disease=flu\r\n");
+        let (out, stats) = run_bytes(&input);
+        let lines: Vec<&str> = out.lines().skip(1).collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert!(lines[0].starts_with("error code=parse"), "{out}");
+        assert!(lines[0].contains("UTF-8"), "{out}");
+        assert!(lines[1].starts_with("error code=parse"), "{out}");
+        assert!(lines[1].contains("longer than"), "{out}");
+        assert!(lines[2].starts_with("est="), "{out}");
+        assert_eq!((stats.requests, stats.errors), (3, 2));
+        // The same reader the loop uses never buffers past the cap, even
+        // across the 1 MiB line.
+        let mut reader = &input[..];
+        let mut buf = Vec::new();
+        let mut read = 0;
+        while read_request(&mut reader, &mut buf).unwrap().is_some() {
+            assert!(buf.capacity() <= 2 * MAX_LINE_BYTES, "{}", buf.capacity());
+            read += 1;
+        }
+        assert_eq!(read, 3);
+    }
+
+    #[test]
     fn engine_without_publication_serves_too() {
         use crate::engine::QueryEngine;
-        use std::sync::Arc;
 
         let schema = Schema::new(vec![
             Attribute::new("Job", ["eng", "doc"]),
@@ -268,8 +306,9 @@ mod tests {
             None,
             ServiceConfig::default(),
         );
+        let catalog = Catalog::single(Arc::new(service));
         let mut out = Vec::new();
-        let stats = serve(&service, &b"info\n"[..], &mut out).unwrap();
+        let stats = serve(&catalog, &b"info\n"[..], &mut out).unwrap();
         assert_eq!(stats.answered, 1);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("records=400"), "{text}");

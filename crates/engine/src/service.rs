@@ -4,11 +4,10 @@
 //! The service owns an `Arc<`[`QueryEngine`]`>` plus everything a session
 //! needs that the engine itself does not carry: the release parameters for
 //! `info`, a bounded deterministic answer cache keyed by the canonical
-//! query form, and aggregate [`StatsSnapshot`] counters. Transports — the
-//! stdio loop in [`crate::serve()`](crate::serve::serve) and the TCP
-//! listener in [`crate::server`] — are thin: they frame lines and call
-//! [`QueryService::handle_line`], so every transport provably speaks the
-//! identical protocol.
+//! query form, and aggregate [`StatsSnapshot`] counters. Transports serve
+//! services through a [`crate::catalog::Catalog`] — a single release is a
+//! one-entry catalog — whose session routes each parsed request to
+//! [`QueryService::handle`].
 //!
 //! ## Caching
 //!
@@ -39,7 +38,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rp_table::CountQuery;
 
@@ -173,7 +172,7 @@ struct StreamBackend {
     state_out: Option<PathBuf>,
 }
 
-/// Histogram handles resolved once at construction. The per-request path
+/// Histogram handles resolved once per process. The per-request path
 /// runs for every line of every session, so it pays atomics only — never
 /// a registry name lookup.
 struct HotPathObs {
@@ -183,22 +182,42 @@ struct HotPathObs {
     cache_lookup: &'static crate::obs::Histogram,
 }
 
-impl HotPathObs {
-    fn resolve() -> Self {
+fn hot_path_obs() -> &'static HotPathObs {
+    static HOT: OnceLock<HotPathObs> = OnceLock::new();
+    HOT.get_or_init(|| {
         let obs = crate::obs::global();
-        Self {
+        HotPathObs {
             handle: obs.histogram("service.handle"),
             parse: obs.histogram("service.parse"),
             execute: obs.histogram("service.execute"),
             cache_lookup: obs.histogram("service.cache_lookup"),
         }
-    }
+    })
 }
 
-impl std::fmt::Debug for HotPathObs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("HotPathObs")
+/// Parses one raw request line and answers it with `answer`, which gets
+/// the request or its parse error. Returns `None` for blank lines. The
+/// one place the per-request stages are timed, for bare services and
+/// catalog sessions alike: sampled 1-in-8 (see `crate::obs`), one
+/// clock-read pair per boundary — parse = t1-t0, execute = t2-t1,
+/// handle = t2-t0.
+pub(crate) fn answer_line(
+    line: &str,
+    answer: impl FnOnce(Result<Request, ProtocolError>) -> Response,
+) -> Option<Response> {
+    let obs = crate::obs::global();
+    let hot = hot_path_obs();
+    let t0 = (obs.enabled() && hot.handle.tick_sampled()).then(|| obs.now_ns());
+    let parsed = Request::parse(line).transpose();
+    let t1 = t0.map(|_| obs.now_ns());
+    let response = answer(parsed?);
+    if let (Some(t0), Some(t1)) = (t0, t1) {
+        let t2 = obs.now_ns();
+        hot.parse.record(t1.saturating_sub(t0));
+        hot.execute.record(t2.saturating_sub(t1));
+        hot.handle.record(t2.saturating_sub(t0));
     }
+    Some(response)
 }
 
 /// The shared query-answering service every transport runs over.
@@ -218,7 +237,6 @@ pub struct QueryService {
     cache_capacity: usize,
     cache: Mutex<AnswerCache>,
     stats: AggregateStats,
-    obs: HotPathObs,
 }
 
 impl QueryService {
@@ -237,7 +255,6 @@ impl QueryService {
             cache_capacity: config.cache_entries,
             cache: Mutex::new(AnswerCache::new(config.cache_entries)),
             stats: AggregateStats::default(),
-            obs: HotPathObs::resolve(),
         }
     }
 
@@ -424,34 +441,17 @@ impl QueryService {
     }
 
     /// Handles one raw request line: parse, dispatch, count. Returns
-    /// `None` for blank lines (not counted as requests). This is the
-    /// single entry point every transport uses, so a request line maps to
-    /// the same response bytes on every transport.
+    /// `None` for blank lines (not counted as requests); a parse error is
+    /// answered and counted like any other error.
     pub fn handle_line(&self, line: &str, session: &mut SessionStats) -> Option<Response> {
-        // Sampled stage timing (1-in-8 requests; see `crate::obs`), via
-        // the handles resolved at construction. The three stages share
-        // one clock-read pair per boundary: parse = t1-t0,
-        // execute = t2-t1, handle = t2-t0.
-        let obs = crate::obs::global();
-        let t0 = (obs.enabled() && self.obs.handle.tick_sampled()).then(|| obs.now_ns());
-        let parsed = Request::parse(line);
-        let t1 = t0.map(|_| obs.now_ns());
-        let response = match parsed {
-            Ok(None) => None,
-            Ok(Some(request)) => Some(self.handle(&request, session)),
+        answer_line(line, |parsed| match parsed {
+            Ok(request) => self.handle(&request, session),
             Err(e) => {
                 let response = Response::from(e);
                 self.count(&response, session);
-                Some(response)
+                response
             }
-        };
-        if let (Some(t0), Some(t1), Some(_)) = (t0, t1, response.as_ref()) {
-            let t2 = obs.now_ns();
-            self.obs.parse.record(t1.saturating_sub(t0));
-            self.obs.execute.record(t2.saturating_sub(t1));
-            self.obs.handle.record(t2.saturating_sub(t0));
-        }
-        response
+        })
     }
 
     /// Handles one typed request (already parsed). Exposed for clients
@@ -463,7 +463,9 @@ impl QueryService {
         response
     }
 
-    fn count(&self, response: &Response, session: &mut SessionStats) {
+    /// Charges one answered request to `session` and to this release's
+    /// aggregate counters.
+    pub(crate) fn count(&self, response: &Response, session: &mut SessionStats) {
         session.requests += 1;
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         if response.is_error() {
@@ -524,15 +526,14 @@ impl QueryService {
                 Ok(r) => r,
                 Err(e) => Response::from(e),
             },
-            // Catalog verbs (rp/3) are routed by a
-            // [`crate::catalog::CatalogSession`] before they ever reach a
-            // service; a bare single-release service refuses them.
+            // A `CatalogSession` answers the catalog verbs before any
+            // request reaches a release; one handed here directly was
+            // never routed.
             Request::Use(_) | Request::Releases | Request::Reload(_) | Request::At { .. } => {
                 Response::Error {
-                    code: ErrorCode::UnknownRelease,
-                    message:
-                        "this server hosts a single release; catalog verbs need `rpctl serve --release NAME=PATH ...`"
-                            .to_string(),
+                    code: ErrorCode::Internal,
+                    message: "catalog verbs are answered by a catalog session, not a release"
+                        .to_string(),
                 }
             }
         }
@@ -785,12 +786,11 @@ impl QueryService {
             // cache hit/miss trace events so tracing stays off the
             // steady-state hot path.
             let obs = crate::obs::global();
-            let t0 = (obs.enabled() && self.obs.cache_lookup.tick_sampled()).then(|| obs.now_ns());
+            let cache_lookup = hot_path_obs().cache_lookup;
+            let t0 = (obs.enabled() && cache_lookup.tick_sampled()).then(|| obs.now_ns());
             let hit = self.cache_guard().get(&key);
             if let Some(t0) = t0 {
-                self.obs
-                    .cache_lookup
-                    .record(obs.now_ns().saturating_sub(t0));
+                cache_lookup.record(obs.now_ns().saturating_sub(t0));
                 obs.trace(if hit.is_some() {
                     "cache.hit"
                 } else {

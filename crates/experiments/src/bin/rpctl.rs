@@ -81,7 +81,10 @@
 //! streams keep working unchanged. `releases` and `reload` are the
 //! matching TCP clients; `query --connect --release NAME` targets one
 //! tenant by sending `use` first (and trusts the `using` response — not
-//! the HELLO banner — for that release's SA column and `p`).
+//! the HELLO banner — for that release's SA column and `p`). Both forms
+//! run the same catalog server: `--publication` serves its one release
+//! as a one-entry catalog whose HELLO carries no `release=` token and
+//! which answers the catalog verbs `unknown-release`.
 //!
 //! `bakeoff` publishes one CSV under both philosophies — the paper's SPS
 //! data perturbation and a calibrated binomial-DP contingency release
@@ -126,9 +129,9 @@ use rp_core::groups::{PersonalGroups, SaSpec};
 use rp_core::privacy::PrivacyParams;
 use rp_datagen::adult::AdultSource;
 use rp_engine::{
-    serve, serve_catalog, Catalog, FaultHandle, FaultSchedule, Publication, Publisher, QueryEngine,
-    QueryService, Request, Response, Server, ServerConfig, ServiceConfig, StreamConfig,
-    StreamPublisher, WireAnswer, WireQuery, WireRecord,
+    serve, Catalog, FaultHandle, FaultSchedule, Publication, Publisher, QueryEngine, QueryService,
+    Request, Response, Server, ServerConfig, ServiceConfig, StreamConfig, StreamPublisher,
+    WireAnswer, WireQuery, WireRecord,
 };
 use rp_experiments::bakeoff;
 use rp_table::{read_csv, write_csv, Pattern, Table, Term};
@@ -713,13 +716,67 @@ fn true_answer(raw: &Table, conditions: &[(&str, &str)]) -> Result<u64, String> 
 }
 
 fn cmd_serve(opts: &Options) -> Result<(), String> {
-    if !opts.releases.is_empty() {
-        if opts.publication.is_some() {
-            return Err("--release is mutually exclusive with --publication".into());
-        }
-        return cmd_serve_catalog(opts);
+    if !opts.releases.is_empty() && opts.publication.is_some() {
+        return Err("--release is mutually exclusive with --publication".into());
     }
-    apply_trace_buffer(opts);
+    // `--trace-buffer N` resizes the process-wide obs trace ring before
+    // the serve loop starts (`0` disables tracing entirely).
+    if let Some(capacity) = opts.trace_buffer {
+        rp_engine::obs::global().set_trace_capacity(capacity);
+        eprintln!("trace ring: {capacity} events");
+    }
+    let config = ServiceConfig {
+        cache_entries: opts.cache,
+    };
+    let catalog = Arc::new(if opts.releases.is_empty() {
+        single_release_catalog(opts, config)?
+    } else {
+        named_catalog(opts, config)?
+    });
+    if let Some(addr) = opts.listen.as_deref() {
+        let server = Server::bind(addr, Arc::clone(&catalog), opts.server_config())
+            .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+        let bound = server
+            .local_addr()
+            .map_err(|e| format!("cannot resolve listen address: {e}"))?;
+        eprintln!(
+            "listening on {bound} (max {} concurrent sessions); \
+             connect with `rpctl query --connect {bound} ...`",
+            opts.max_conns
+        );
+        server.run().map_err(|e| format!("serve loop: {e}"))?;
+    } else {
+        let stdin = std::io::stdin();
+        let stdout = std::io::stdout();
+        let stats =
+            serve(&catalog, stdin.lock(), stdout.lock()).map_err(|e| format!("serve loop: {e}"))?;
+        eprintln!(
+            "served {} requests ({} answered, {} errors, {} cache hits, {} inserts, \
+             {} degraded refusals, {} faults)",
+            stats.requests,
+            stats.answered,
+            stats.errors,
+            stats.cache_hits,
+            stats.inserts,
+            stats.degraded,
+            stats.faults
+        );
+    }
+    // Final durability point of a streaming server: sync the WAL (and
+    // write the snapshot) so a graceful shutdown never loses
+    // acknowledged events.
+    for (name, outcome) in catalog.checkpoint_all() {
+        match outcome {
+            Ok(Some(events)) => eprintln!("checkpoint {name}: {events} events durable"),
+            Ok(None) => {}
+            Err(e) => eprintln!("warning: final checkpoint of {name} failed: {e}"),
+        }
+    }
+    Ok(())
+}
+
+/// `serve --publication`: the one release, served as a bare catalog.
+fn single_release_catalog(opts: &Options, config: ServiceConfig) -> Result<Catalog, String> {
     let publication = load_publication(opts)?;
     // The line protocol frames names and values as whitespace-separated
     // tokens; a non-token SA name even breaks the HELLO banner. Serve
@@ -740,24 +797,8 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     }
     let sa_name = publication.sa_name().to_string();
     let p = publication.p();
-    let config = ServiceConfig {
-        cache_entries: opts.cache,
-    };
     let service = if let Some(wal) = opts.wal.as_deref() {
-        if opts.fault_fsync_at > 0 {
-            eprintln!(
-                "fault injection armed: WAL fsync {} will fail and degrade the stream \
-                 to read-only",
-                opts.fault_fsync_at
-            );
-        }
-        let stream = StreamPublisher::open_with(
-            publication,
-            Path::new(wal),
-            opts.stream_config(),
-            opts.fault_handle(),
-        )
-        .map_err(|e| format!("cannot open stream (wal = {wal}): {e}"))?;
+        let stream = open_stream(opts, publication, wal)?;
         eprintln!(
             "streaming: wal = {wal}, {} events applied, {} live groups ({} records); \
              `insert COL=VALUE ...` to ingest, `flush` to commit{}",
@@ -780,65 +821,36 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         service.engine().groups(),
         opts.cache,
     );
-    if let Some(addr) = opts.listen.as_deref() {
-        let server = Server::bind(addr, Arc::new(service), opts.server_config())
-            .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-        let bound = server
-            .local_addr()
-            .map_err(|e| format!("cannot resolve listen address: {e}"))?;
+    Ok(Catalog::single(Arc::new(service)))
+}
+
+/// Opens the live stream of `publication` at `wal`, behind the
+/// `--fault-fsync-at` schedule when one is armed.
+fn open_stream(
+    opts: &Options,
+    publication: Publication,
+    wal: &str,
+) -> Result<StreamPublisher, String> {
+    if opts.fault_fsync_at > 0 {
         eprintln!(
-            "listening on {bound} (max {} concurrent sessions); \
-             connect with `rpctl query --connect {bound} ...`",
-            opts.max_conns
+            "fault injection armed: WAL fsync {} will fail and degrade the stream \
+             to read-only",
+            opts.fault_fsync_at
         );
-        let service = Arc::clone(server.service().expect("bound as a single-release server"));
-        server.run().map_err(|e| format!("serve loop: {e}"))?;
-        checkpoint_on_exit(&service);
-    } else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let stats =
-            serve(&service, stdin.lock(), stdout.lock()).map_err(|e| format!("serve loop: {e}"))?;
-        eprintln!(
-            "served {} requests ({} answered, {} errors, {} cache hits, {} inserts, \
-             {} degraded refusals, {} faults)",
-            stats.requests,
-            stats.answered,
-            stats.errors,
-            stats.cache_hits,
-            stats.inserts,
-            stats.degraded,
-            stats.faults
-        );
-        checkpoint_on_exit(&service);
     }
-    Ok(())
+    StreamPublisher::open_with(
+        publication,
+        Path::new(wal),
+        opts.stream_config(),
+        opts.fault_handle(),
+    )
+    .map_err(|e| format!("cannot open stream (wal = {wal}): {e}"))
 }
 
-/// `--trace-buffer N` resizes the process-wide obs trace ring before the
-/// serve loop starts (`0` disables tracing entirely).
-fn apply_trace_buffer(opts: &Options) {
-    if let Some(capacity) = opts.trace_buffer {
-        rp_engine::obs::global().set_trace_capacity(capacity);
-        eprintln!("trace ring: {capacity} events");
-    }
-}
-
-/// Final durability point of a streaming server: sync the WAL (and write
-/// the snapshot) so a graceful shutdown never loses acknowledged events.
-fn checkpoint_on_exit(service: &QueryService) {
-    match service.checkpoint() {
-        Ok(Some(events)) => eprintln!("checkpoint: {events} events durable"),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: final checkpoint failed: {e}"),
-    }
-}
-
-/// Multi-tenant serve: every `--release NAME=PATH` becomes one catalog
-/// tenant with its own `QueryService`; the first named release is the
-/// default that un-qualified (rp/2-style) verbs route to.
-fn cmd_serve_catalog(opts: &Options) -> Result<(), String> {
-    apply_trace_buffer(opts);
+/// `serve --release NAME=PATH ...`: every named artifact becomes one
+/// catalog tenant with its own `QueryService`; the first named release is
+/// the default that un-qualified (rp/2-style) verbs route to.
+fn named_catalog(opts: &Options, config: ServiceConfig) -> Result<Catalog, String> {
     let mut pairs = Vec::with_capacity(opts.releases.len());
     for spec in &opts.releases {
         let (name, path) = spec
@@ -846,9 +858,6 @@ fn cmd_serve_catalog(opts: &Options) -> Result<(), String> {
             .ok_or_else(|| format!("--release wants NAME=PATH, got `{spec}`"))?;
         pairs.push((name, path));
     }
-    let config = ServiceConfig {
-        cache_entries: opts.cache,
-    };
     let catalog = Catalog::new(pairs[0].0).map_err(|e| e.to_string())?;
     for (i, &(name, path)) in pairs.iter().enumerate() {
         // With --wal the *first* release becomes the streaming tenant:
@@ -883,26 +892,15 @@ fn cmd_serve_catalog(opts: &Options) -> Result<(), String> {
         let (name, path) = pairs[0];
         let publication =
             Publication::load_from_path(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-        let stream = StreamPublisher::open_with(
-            publication,
-            Path::new(wal),
-            opts.stream_config(),
-            opts.fault_handle(),
-        )
-        .map_err(|e| format!("cannot open stream (wal = {wal}): {e}"))?;
         let service = Arc::new(QueryService::streaming(
-            stream,
+            open_stream(opts, publication, wal)?,
             opts.state_out.as_deref().map(PathBuf::from),
             config,
         ));
         catalog
             .reload(name, service)
             .map_err(|e| format!("cannot arm faults on {name}: {e}"))?;
-        eprintln!(
-            "fault injection armed on release {name}: WAL fsync {} will fail and \
-             degrade the stream to read-only (`reload {name}` recovers)",
-            opts.fault_fsync_at
-        );
+        eprintln!("`reload {name}` recovers the degraded release");
     }
     for entry in catalog.list() {
         eprintln!(
@@ -924,50 +922,7 @@ fn cmd_serve_catalog(opts: &Options) -> Result<(), String> {
         pairs.len(),
         opts.cache,
     );
-    if let Some(addr) = opts.listen.as_deref() {
-        let catalog = Arc::new(catalog);
-        let server = Server::bind_catalog(addr, Arc::clone(&catalog), opts.server_config())
-            .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-        let bound = server
-            .local_addr()
-            .map_err(|e| format!("cannot resolve listen address: {e}"))?;
-        eprintln!(
-            "listening on {bound} (max {} concurrent sessions); \
-             connect with `rpctl query --connect {bound} --release NAME ...`",
-            opts.max_conns
-        );
-        server.run().map_err(|e| format!("serve loop: {e}"))?;
-        catalog_checkpoint_on_exit(&catalog);
-    } else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let stats = serve_catalog(&catalog, stdin.lock(), stdout.lock())
-            .map_err(|e| format!("serve loop: {e}"))?;
-        eprintln!(
-            "served {} requests ({} answered, {} errors, {} cache hits, {} inserts, \
-             {} degraded refusals, {} faults)",
-            stats.requests,
-            stats.answered,
-            stats.errors,
-            stats.cache_hits,
-            stats.inserts,
-            stats.degraded,
-            stats.faults
-        );
-        catalog_checkpoint_on_exit(&catalog);
-    }
-    Ok(())
-}
-
-/// [`checkpoint_on_exit`] across every tenant of a catalog.
-fn catalog_checkpoint_on_exit(catalog: &Catalog) {
-    for (name, outcome) in catalog.checkpoint_all() {
-        match outcome {
-            Ok(Some(events)) => eprintln!("checkpoint {name}: {events} events durable"),
-            Ok(None) => {}
-            Err(e) => eprintln!("warning: final checkpoint of {name} failed: {e}"),
-        }
-    }
+    Ok(catalog)
 }
 
 /// Lists a catalog server's releases over TCP.

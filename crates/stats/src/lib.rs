@@ -28,7 +28,6 @@ pub mod bounds;
 pub mod chi2;
 pub mod dist;
 pub mod gtest;
-pub mod multiple;
 pub mod ratio;
 pub mod sampling;
 pub mod special;

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rp_repro::engine::{
-    serve_catalog, Catalog, FaultSchedule, Publication, Publisher, QueryService, ServiceConfig,
+    serve, Catalog, FaultSchedule, Publication, Publisher, QueryService, ServiceConfig,
     StreamConfig, StreamError, StreamPublisher,
 };
 use rp_repro::table::{Attribute, Schema, TableBuilder};
@@ -504,7 +504,7 @@ fn fixture_catalog(artifact: &Path, wal: &Path, fsync_at: u64) -> Catalog {
 fn run_session(catalog: &Catalog, script: &[&str]) -> String {
     let input = script.join("\n") + "\n";
     let mut out = Vec::new();
-    serve_catalog(catalog, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
+    serve(catalog, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
     String::from_utf8(out).unwrap()
 }
 

@@ -18,6 +18,9 @@
 //! * two catalog tenants served concurrently stay isolated: per-tenant
 //!   transcripts are byte-identical to their stdio references and no
 //!   session's queries touch the other tenant's cache.
+//! * golden transcripts (`tests/golden/`) pin the exact bytes of a
+//!   single-release and a catalog session — `HELLO`, catalog-verb
+//!   refusals and `stats` after a parse error included — on stdio and TCP.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -30,8 +33,8 @@ use rp_repro::engine::protocol::{
     ErrorCode, ReleaseEntry, ReleaseMeta, StatsSnapshot, WireAnswer, WireHistogram, WireTraceEvent,
 };
 use rp_repro::engine::{
-    serve, serve_catalog, Catalog, Publisher, QueryService, Request, Response, Server,
-    ServerConfig, ServiceConfig, WireQuery, WireRecord,
+    serve, Catalog, Publisher, QueryService, Request, Response, Server, ServerConfig,
+    ServiceConfig, WireQuery, WireRecord,
 };
 use rp_repro::table::{Attribute, Schema, TableBuilder};
 
@@ -363,13 +366,43 @@ const SCRIPT: &[&str] = &[
     "quit",
 ];
 
+/// One stdio session of `script` over `catalog`; returns the transcript.
+fn stdio_session(catalog: &Catalog, script: &[&str]) -> String {
+    let input = script.join("\n") + "\n";
+    let mut out = Vec::new();
+    serve(catalog, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
+    String::from_utf8(out).unwrap()
+}
+
 /// The sequential stdio transcript of the script over a fresh service.
 fn stdio_transcript(cache_entries: usize) -> (String, StatsSnapshot) {
-    let service = fixture_service(cache_entries);
-    let input = SCRIPT.join("\n") + "\n";
-    let mut out = Vec::new();
-    serve(&service, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
-    (String::from_utf8(out).unwrap(), service.stats())
+    let service = Arc::new(fixture_service(cache_entries));
+    let transcript = stdio_session(&Catalog::single(Arc::clone(&service)), SCRIPT);
+    (transcript, service.stats())
+}
+
+/// One TCP session: the banner, then one response per request, sent one
+/// line at a time.
+fn tcp_session(addr: std::net::SocketAddr, script: &[&str]) -> String {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    let mut writer = stream;
+    let mut transcript = String::new();
+    reader.read_line(&mut transcript).expect("read banner");
+    for request in script {
+        writeln!(writer, "{request}").expect("send request");
+        writer.flush().expect("flush");
+        reader.read_line(&mut transcript).expect("read response");
+    }
+    transcript
+}
+
+/// Binds an ephemeral-port server over `catalog` and spawns it.
+fn spawn_server(catalog: Catalog) -> rp_repro::engine::ServerHandle {
+    Server::bind("127.0.0.1:0", Arc::new(catalog), ServerConfig::default())
+        .expect("bind an ephemeral port")
+        .spawn()
+        .expect("spawn server")
 }
 
 #[test]
@@ -378,34 +411,13 @@ fn concurrent_tcp_sessions_match_sequential_stdio_bytes() {
     let (reference, _) = stdio_transcript(1024);
 
     let service = Arc::new(fixture_service(1024));
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())
-        .expect("bind an ephemeral port");
-    let handle = server.spawn().expect("spawn server");
+    let handle = spawn_server(Catalog::single(Arc::clone(&service)));
     let addr = handle.addr();
 
+    // One line at a time — send, then read the single response — so the
+    // N sessions genuinely interleave on the server.
     let workers: Vec<_> = (0..CLIENTS)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
-                let mut writer = stream;
-                let mut transcript = String::new();
-                let read_line = |reader: &mut BufReader<TcpStream>, transcript: &mut String| {
-                    let mut line = String::new();
-                    reader.read_line(&mut line).expect("read response");
-                    transcript.push_str(&line);
-                };
-                read_line(&mut reader, &mut transcript); // HELLO banner
-                                                         // One line at a time — send, then read the single response
-                                                         // — so the N sessions genuinely interleave on the server.
-                for request in SCRIPT {
-                    writeln!(writer, "{request}").expect("send request");
-                    writer.flush().expect("flush");
-                    read_line(&mut reader, &mut transcript);
-                }
-                transcript
-            })
-        })
+        .map(|_| std::thread::spawn(move || tcp_session(addr, SCRIPT)))
         .collect();
 
     for worker in workers {
@@ -477,11 +489,17 @@ fn observability_changes_no_response_bytes() {
 fn metrics_and_trace_verbs_answer_canonical_lines() {
     // `metrics` and `trace` answered by a live service parse back to the
     // exact response (parse ∘ encode = id on real registry contents).
-    let service = fixture_service(1024);
-    let input = "ping\ncount Job=eng Disease=flu\nmetrics\ntrace 8\nquit\n";
-    let mut out = Vec::new();
-    serve(&service, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
-    let text = String::from_utf8(out).unwrap();
+    let catalog = Catalog::single(Arc::new(fixture_service(1024)));
+    let text = stdio_session(
+        &catalog,
+        &[
+            "ping",
+            "count Job=eng Disease=flu",
+            "metrics",
+            "trace 8",
+            "quit",
+        ],
+    );
     let metrics_line = text
         .lines()
         .find(|l| l.starts_with("metrics "))
@@ -561,11 +579,7 @@ const BETA_SCRIPT: &[&str] = &[
 
 /// The sequential stdio transcript of `script` over a fresh catalog.
 fn catalog_stdio_transcript(script: &[&str]) -> String {
-    let (catalog, _, _) = fixture_catalog();
-    let input = script.join("\n") + "\n";
-    let mut out = Vec::new();
-    serve_catalog(&catalog, input.as_bytes(), &mut out).expect("in-memory serve cannot fail");
-    String::from_utf8(out).unwrap()
+    stdio_session(&fixture_catalog().0, script)
 }
 
 #[test]
@@ -577,34 +591,13 @@ fn concurrent_tenants_get_isolated_byte_identical_transcripts() {
     assert_ne!(alpha_ref, beta_ref, "tenants must answer differently");
 
     let (catalog, alpha, beta) = fixture_catalog();
-    let server = Server::bind_catalog("127.0.0.1:0", Arc::new(catalog), ServerConfig::default())
-        .expect("bind an ephemeral port");
-    let handle = server.spawn().expect("spawn server");
+    let handle = spawn_server(catalog);
     let addr = handle.addr();
 
     // Two clients per tenant, all interleaving line-at-a-time.
     let workers: Vec<_> = [ALPHA_SCRIPT, BETA_SCRIPT, ALPHA_SCRIPT, BETA_SCRIPT]
         .into_iter()
-        .map(|script| {
-            std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
-                let mut writer = stream;
-                let mut transcript = String::new();
-                let read_line = |reader: &mut BufReader<TcpStream>| {
-                    let mut line = String::new();
-                    reader.read_line(&mut line).expect("read response");
-                    line
-                };
-                transcript.push_str(&read_line(&mut reader)); // HELLO banner
-                for request in script {
-                    writeln!(writer, "{request}").expect("send request");
-                    writer.flush().expect("flush");
-                    transcript.push_str(&read_line(&mut reader));
-                }
-                (script, transcript)
-            })
-        })
+        .map(|script| std::thread::spawn(move || (script, tcp_session(addr, script))))
         .collect();
 
     for worker in workers {
@@ -642,4 +635,108 @@ fn concurrent_tenants_get_isolated_byte_identical_transcripts() {
     // release); `use beta` does not re-charge.
     assert_eq!(alpha_stats.sessions, 4);
     assert_eq!(beta_stats.sessions, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden transcripts: the exact rp/5 bytes of a single-release session and a
+// catalog session, pinned on stdio and TCP alike.
+// ---------------------------------------------------------------------------
+
+/// The catalog verbs a single-release server refuses.
+const CATALOG_VERBS: [&str; 4] = [
+    "use beta",
+    "releases",
+    "reload beta",
+    "count@beta Job=eng Disease=flu",
+];
+
+/// The exact refusal line of a catalog verb on a single-release server.
+const SINGLE_RELEASE_REFUSAL: &str = "error code=unknown-release this server hosts a single \
+release; catalog verbs need `rpctl serve --release NAME=PATH ...`";
+
+/// The single-release golden script: the transport script, the refused
+/// catalog verbs, then `stats` — which must count the parse errors and
+/// the refusals against the release.
+fn single_golden_script() -> Vec<&'static str> {
+    let mut script = SCRIPT[..SCRIPT.len() - 1].to_vec();
+    script.extend(CATALOG_VERBS);
+    script.extend(["stats", "quit"]);
+    script
+}
+
+/// The catalog golden script: routing, a parse error, per-tenant `stats`,
+/// and routing failures on the two-tenant fixture catalog.
+const CATALOG_GOLDEN_SCRIPT: &[&str] = &[
+    "info",
+    "count Job=eng Disease=flu",
+    "garbage",
+    "stats",
+    "releases",
+    "count@beta Job=eng Disease=flu",
+    "use beta",
+    "info",
+    "stats",
+    "use gamma",
+    "count@gamma Disease=flu",
+    "reload beta",
+    "quit",
+];
+
+#[test]
+fn single_release_sessions_match_the_golden_transcript() {
+    let golden = include_str!("golden/single_release.txt");
+    let script = single_golden_script();
+    let single = || Catalog::single(Arc::new(fixture_service(1024)));
+    assert_eq!(
+        stdio_session(&single(), &script),
+        golden,
+        "stdio transcript"
+    );
+
+    let handle = spawn_server(single());
+    assert_eq!(
+        tcp_session(handle.addr(), &script),
+        golden,
+        "TCP transcript"
+    );
+    handle.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn catalog_sessions_match_the_golden_transcript() {
+    let golden = include_str!("golden/catalog.txt");
+    assert_eq!(
+        catalog_stdio_transcript(CATALOG_GOLDEN_SCRIPT),
+        golden,
+        "stdio transcript"
+    );
+
+    let handle = spawn_server(fixture_catalog().0);
+    assert_eq!(
+        tcp_session(handle.addr(), CATALOG_GOLDEN_SCRIPT),
+        golden,
+        "TCP transcript"
+    );
+    handle.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn single_release_server_refuses_catalog_verbs_with_the_exact_line() {
+    let catalog = Catalog::single(Arc::new(fixture_service(0)));
+    let text = stdio_session(&catalog, &CATALOG_VERBS);
+    let banner = text.lines().next().unwrap();
+    assert!(!banner.contains("release="), "{banner}");
+    let refusals: Vec<&str> = text.lines().skip(1).collect();
+    assert_eq!(refusals, [SINGLE_RELEASE_REFUSAL; 4]);
+}
+
+#[test]
+fn a_parse_error_shows_in_single_release_stats() {
+    let catalog = Catalog::single(Arc::new(fixture_service(0)));
+    let text = stdio_session(&catalog, &["garbage", "stats"]);
+    let stats = text.lines().nth(2).expect("stats response");
+    assert!(
+        stats.starts_with("stats requests=1 answered=0 errors=1 "),
+        "{stats}"
+    );
 }
