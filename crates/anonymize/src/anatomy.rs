@@ -239,15 +239,6 @@ impl AnatomizedTable {
         }
         estimate
     }
-
-    /// Distribution of bucket sizes, for diagnostics: `(min, max)`.
-    pub fn bucket_size_range(&self) -> (u64, u64) {
-        let sizes: Vec<u64> = self.buckets.iter().map(|h| h.iter().sum()).collect();
-        (
-            sizes.iter().copied().min().unwrap_or(0),
-            sizes.iter().copied().max().unwrap_or(0),
-        )
-    }
 }
 
 /// Convenience map from bucket ids to the rows they contain.

@@ -72,32 +72,23 @@ fn bench_catalog(c: &mut Criterion) {
     });
     group.bench_function("handle_line_default_route", |b| {
         let mut routing = CatalogSession::new(&catalog);
-        let mut session = SessionStats::default();
-        b.iter(|| {
-            routing
-                .handle_line(LINE, &mut session)
-                .expect("non-blank line answers")
-        });
+        b.iter(|| routing.handle_line(LINE).expect("non-blank line answers"));
     });
     group.bench_function("handle_line_qualified", |b| {
         let mut routing = CatalogSession::new(&catalog);
-        let mut session = SessionStats::default();
         b.iter(|| {
             routing
-                .handle_line("count@beta Job=eng Disease=flu", &mut session)
+                .handle_line("count@beta Job=eng Disease=flu")
                 .expect("non-blank line answers")
         });
     });
     group.bench_function("use_switch", |b| {
         let mut routing = CatalogSession::new(&catalog);
-        let mut session = SessionStats::default();
         let mut to_beta = true;
         b.iter(|| {
             let line = if to_beta { "use beta" } else { "use alpha" };
             to_beta = !to_beta;
-            routing
-                .handle_line(line, &mut session)
-                .expect("non-blank line answers")
+            routing.handle_line(line).expect("non-blank line answers")
         });
     });
     group.finish();

@@ -1,7 +1,7 @@
 //! The multi-tenant publication [`Catalog`]: one server, many releases.
 //!
 //! A catalog owns N named releases, each a full [`QueryService`] with its
-//! own answer cache, aggregate counters and (optionally) live stream —
+//! own answer cache, counters and (optionally) live stream —
 //! per-tenant isolation is enforced by construction, because tenants
 //! simply never share state. Sessions route by release name using the
 //! rp/3 catalog verbs (see [`crate::protocol`]): `use` rebinds the
@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::protocol::{
-    is_release_name, ErrorCode, ReleaseEntry, Request, Response, PROTOCOL_VERSION,
+    is_release_name, ErrorCode, ReleaseEntry, Request, Response, Stat, PROTOCOL_VERSION,
 };
 use crate::publication::Publication;
 use crate::service::{QueryService, ServiceConfig, SessionStats};
@@ -649,27 +649,16 @@ impl Drop for Lease<'_> {
     }
 }
 
-/// Counts a catalog-level response into the session counters only — the
-/// routing layer has no tenant to charge, and per-tenant aggregates must
-/// never mix tenants.
-fn count_local(session: &mut SessionStats, response: &Response) {
-    session.requests += 1;
-    if response.is_error() {
-        session.errors += 1;
-    } else {
-        session.answered += 1;
-    }
-}
-
-/// One session's routing state over a [`Catalog`]: the current release
-/// plus the rp/3 verb dispatch. Transports build one per connection and
-/// feed it lines exactly like a bare [`QueryService`].
+/// One session's routing state over a [`Catalog`]: the current release,
+/// the rp/3 verb dispatch, and the session's counter totals. Transports
+/// build one per connection and feed it lines.
 ///
-/// Tenant-bound requests are charged to the target release's own
-/// aggregate counters (via [`QueryService::handle`]); catalog-level verbs
-/// (`use`, `releases`, `reload`, routing failures, parse errors) are
-/// counted in the [`SessionStats`] only — except on a bare catalog, which
-/// charges them to its one release.
+/// Every request counts in the session's [`totals`](Self::totals).
+/// Tenant-bound requests also count in the target release's own counters
+/// (via [`QueryService::handle`]); catalog-level verbs (`use`,
+/// `releases`, `reload`, routing failures, parse errors) charge no
+/// tenant — except on a bare catalog, which charges them to its one
+/// release.
 #[derive(Debug)]
 pub struct CatalogSession<'a> {
     catalog: &'a Catalog,
@@ -677,6 +666,7 @@ pub struct CatalogSession<'a> {
     /// Cached route for the current release, valid while its epoch
     /// matches the catalog's (see the [module docs](self)).
     route: Option<RouteCache>,
+    totals: SessionStats,
 }
 
 /// A session's memoised checkout target: the current release's service
@@ -707,7 +697,13 @@ impl<'a> CatalogSession<'a> {
             catalog,
             current: catalog.default_name().to_string(),
             route: None,
+            totals: SessionStats::default(),
         }
+    }
+
+    /// This session's counters so far.
+    pub fn totals(&self) -> SessionStats {
+        self.totals
     }
 
     /// The release un-qualified verbs currently route to.
@@ -717,11 +713,13 @@ impl<'a> CatalogSession<'a> {
 
     /// The session banner: the current release's parameters plus its
     /// catalog name as the trailing `release=` token (none on a bare
-    /// catalog). An unopened default yields the routing error instead
-    /// (the transport should close).
-    pub fn hello(&self) -> Response {
+    /// catalog). Sending it opens the session, so the session start is
+    /// charged to the current release. An unopened default yields the
+    /// routing error instead (the transport should close).
+    pub fn hello(&mut self) -> Response {
         match self.catalog.checkout(&self.current) {
             Ok(lease) => {
+                QueryService::charge(Some(&lease), &mut self.totals, Stat::Sessions);
                 let (sa, records, groups, p) = lease.release_summary();
                 Response::Hello {
                     version: PROTOCOL_VERSION,
@@ -739,10 +737,10 @@ impl<'a> CatalogSession<'a> {
     /// Handles one raw request line — the catalog counterpart of
     /// [`QueryService::handle_line`], with the same stage timing. Returns
     /// `None` for blank lines.
-    pub fn handle_line(&mut self, line: &str, session: &mut SessionStats) -> Option<Response> {
+    pub fn handle_line(&mut self, line: &str) -> Option<Response> {
         crate::service::answer_line(line, |parsed| match parsed {
-            Ok(request) => self.handle(&request, session),
-            Err(e) => self.answer_locally(Response::from(e), session),
+            Ok(request) => self.handle(&request),
+            Err(e) => self.answer_locally(Response::from(e)),
         })
     }
 
@@ -750,24 +748,20 @@ impl<'a> CatalogSession<'a> {
     /// verb, a routing failure, a parse error): into the session only on
     /// a named catalog, and into the one release's counters as well on a
     /// bare catalog.
-    pub(crate) fn answer_locally(
-        &mut self,
-        response: Response,
-        session: &mut SessionStats,
-    ) -> Response {
+    pub(crate) fn answer_locally(&mut self, response: Response) -> Response {
         if !self.catalog.bare {
-            count_local(session, &response);
+            QueryService::count(None, &response, &mut self.totals);
             return response;
         }
-        self.route_current(session, |service, session| {
-            service.count(&response, session);
+        self.route_current(|service, totals| {
+            QueryService::count(Some(service), &response, totals);
             response
         })
     }
 
     /// Handles one typed request: catalog verbs are answered here,
     /// everything else checks out the target release and delegates.
-    pub fn handle(&mut self, request: &Request, session: &mut SessionStats) -> Response {
+    pub fn handle(&mut self, request: &Request) -> Response {
         let response = match request {
             Request::Use(_) | Request::Releases | Request::Reload(_) | Request::At { .. }
                 if self.catalog.bare =>
@@ -809,24 +803,21 @@ impl<'a> CatalogSession<'a> {
                 Err(e) => e.wire(),
             },
             Request::At { release, inner } => match self.catalog.checkout(release) {
-                Ok(lease) => return lease.handle(inner, session),
+                Ok(lease) => return lease.handle(inner, &mut self.totals),
                 Err(e) => e.wire(),
             },
             unqualified => {
-                return self.route_current(session, |service, session| {
-                    service.handle(unqualified, session)
-                })
+                return self.route_current(|service, totals| service.handle(unqualified, totals))
             }
         };
-        self.answer_locally(response, session)
+        self.answer_locally(response)
     }
 
-    /// Runs `answer` against the current release: the cached fast path
-    /// when the epoch still matches, a full checkout (which repopulates
-    /// the cache) otherwise.
+    /// Runs `answer` against the current release and this session's
+    /// totals: the cached fast path when the epoch still matches, a full
+    /// checkout (which repopulates the cache) otherwise.
     fn route_current(
         &mut self,
-        session: &mut SessionStats,
         answer: impl FnOnce(&QueryService, &mut SessionStats) -> Response,
     ) -> Response {
         let epoch = self.catalog.epoch_now();
@@ -840,7 +831,7 @@ impl<'a> CatalogSession<'a> {
                 release_unit(self.catalog, &route.busy, &route.closing);
             } else {
                 crate::obs::global().inc("catalog.route_fast");
-                let response = answer(&route.service, session);
+                let response = answer(&route.service, &mut self.totals);
                 release_unit(self.catalog, &route.busy, &route.closing);
                 return response;
             }
@@ -850,11 +841,11 @@ impl<'a> CatalogSession<'a> {
         match self.catalog.checkout(&self.current) {
             Ok(lease) => {
                 self.route = Some(RouteCache::from_lease(epoch, &lease));
-                answer(&lease, session)
+                answer(&lease, &mut self.totals)
             }
             Err(e) => {
                 let response = e.wire();
-                count_local(session, &response);
+                QueryService::count(None, &response, &mut self.totals);
                 response
             }
         }
@@ -937,7 +928,6 @@ mod tests {
     fn session_routes_by_use_and_qualifier() {
         let catalog = two_tenant_catalog();
         let mut s = CatalogSession::new(&catalog);
-        let mut stats = SessionStats::default();
 
         let Response::Hello {
             release, records, ..
@@ -950,14 +940,14 @@ mod tests {
 
         // Un-qualified: current (default) release. The SA-only query's
         // support is the whole release, so tenants are distinguishable.
-        let r = s.handle_line("count Disease=flu", &mut stats).unwrap();
+        let r = s.handle_line("count Disease=flu").unwrap();
         let Response::Answer(a) = r else {
             panic!("{r:?}")
         };
         assert_eq!(a.support, 400);
 
         // Qualified: routes without rebinding.
-        let r = s.handle_line("count@beta Disease=flu", &mut stats).unwrap();
+        let r = s.handle_line("count@beta Disease=flu").unwrap();
         let Response::Answer(a) = r else {
             panic!("{r:?}")
         };
@@ -965,7 +955,7 @@ mod tests {
         assert_eq!(s.current(), "alpha");
 
         // `use` rebinds and reports the target's parameters.
-        let r = s.handle_line("use beta", &mut stats).unwrap();
+        let r = s.handle_line("use beta").unwrap();
         let Response::Using {
             release,
             records,
@@ -979,7 +969,7 @@ mod tests {
         assert_eq!(records, 800);
         assert_eq!(sa, "Disease");
         assert_eq!(s.current(), "beta");
-        let r = s.handle_line("count Disease=flu", &mut stats).unwrap();
+        let r = s.handle_line("count Disease=flu").unwrap();
         let Response::Answer(a) = r else {
             panic!("{r:?}")
         };
@@ -987,13 +977,13 @@ mod tests {
 
         // Unknown names are structured errors, session keeps serving.
         for line in ["use gamma", "count@gamma Disease=flu", "reload gamma"] {
-            let r = s.handle_line(line, &mut stats).unwrap();
+            let r = s.handle_line(line).unwrap();
             let Response::Error { code, .. } = r else {
                 panic!("{r:?}")
             };
             assert_eq!(code, ErrorCode::UnknownRelease, "line `{line}`");
         }
-        assert_eq!(stats.errors, 3);
+        assert_eq!(s.totals().errors, 3);
     }
 
     #[test]
@@ -1002,13 +992,12 @@ mod tests {
         let alpha = catalog.checkout("alpha").unwrap();
         let beta = catalog.checkout("beta").unwrap();
         let mut s = CatalogSession::new(&catalog);
-        let mut stats = SessionStats::default();
 
         // Same query twice on alpha (miss + hit), once on beta (miss):
         // identical canonical keys must not cross tenants.
-        s.handle_line("count Job=eng Disease=flu", &mut stats);
-        s.handle_line("count Job=eng Disease=flu", &mut stats);
-        s.handle_line("count@beta Job=eng Disease=flu", &mut stats);
+        s.handle_line("count Job=eng Disease=flu");
+        s.handle_line("count Job=eng Disease=flu");
+        s.handle_line("count@beta Job=eng Disease=flu");
         assert_eq!(alpha.stats().cache_misses, 1);
         assert_eq!(alpha.stats().cache_hits, 1);
         assert_eq!(alpha.stats().requests, 2);
@@ -1019,12 +1008,12 @@ mod tests {
         assert_eq!(beta.cached_answers(), 1);
 
         // Catalog verbs charge no tenant.
-        s.handle_line("releases", &mut stats);
-        s.handle_line("use beta", &mut stats);
+        s.handle_line("releases");
+        s.handle_line("use beta");
         assert_eq!(alpha.stats().requests, 2);
         assert_eq!(beta.stats().requests, 1);
-        assert_eq!(stats.requests, 5);
-        assert_eq!(stats.answered, 5);
+        assert_eq!(s.totals().requests, 5);
+        assert_eq!(s.totals().answered, 5);
     }
 
     /// Regression (ISSUE 7 satellite): close on a release with live
@@ -1072,8 +1061,7 @@ mod tests {
         worker.join().unwrap();
         // While closing/closed, new checkouts answer unknown-release.
         let mut s = CatalogSession::new(&catalog);
-        let mut stats = SessionStats::default();
-        let r = s.handle_line("use beta", &mut stats).unwrap();
+        let r = s.handle_line("use beta").unwrap();
         assert!(matches!(
             r,
             Response::Error {
@@ -1124,8 +1112,7 @@ mod tests {
         // Republish the artifact in place, then hot-reload by name.
         publication(800).save_to_path(&path).unwrap();
         let mut s = CatalogSession::new(&catalog);
-        let mut stats = SessionStats::default();
-        let r = s.handle_line("reload beta", &mut stats).unwrap();
+        let r = s.handle_line("reload beta").unwrap();
         let Response::Reloaded {
             release, records, ..
         } = r
@@ -1137,7 +1124,7 @@ mod tests {
         assert_eq!(catalog.list()[1].records, 800);
 
         // A programmatic open has no source.
-        let r = s.handle_line("reload alpha", &mut stats).unwrap();
+        let r = s.handle_line("reload alpha").unwrap();
         let Response::Error { code, message } = r else {
             panic!("{r:?}")
         };
@@ -1190,14 +1177,11 @@ mod tests {
             .unwrap();
 
         let mut s = CatalogSession::new(&catalog);
-        let mut stats = SessionStats::default();
         // The insert is acked (buffered); the flush hits the scripted
         // fsync failure and the tenant degrades.
-        let r = s
-            .handle_line("insert@live Job=eng Disease=flu", &mut stats)
-            .unwrap();
+        let r = s.handle_line("insert@live Job=eng Disease=flu").unwrap();
         assert!(!r.is_error(), "{r:?}");
-        let r = s.handle_line("flush@live", &mut stats).unwrap();
+        let r = s.handle_line("flush@live").unwrap();
         assert!(
             matches!(
                 r,
@@ -1210,9 +1194,7 @@ mod tests {
         );
         // Degraded: writes refuse, queries keep answering, and the
         // other tenant is untouched.
-        let r = s
-            .handle_line("insert@live Job=eng Disease=flu", &mut stats)
-            .unwrap();
+        let r = s.handle_line("insert@live Job=eng Disease=flu").unwrap();
         assert!(
             matches!(
                 r,
@@ -1223,23 +1205,17 @@ mod tests {
             ),
             "{r:?}"
         );
-        let r = s
-            .handle_line("count@live Job=eng Disease=flu", &mut stats)
-            .unwrap();
+        let r = s.handle_line("count@live Job=eng Disease=flu").unwrap();
         assert!(!r.is_error(), "{r:?}");
-        let r = s
-            .handle_line("count Job=eng Disease=flu", &mut stats)
-            .unwrap();
+        let r = s.handle_line("count Job=eng Disease=flu").unwrap();
         assert!(!r.is_error(), "default tenant unaffected: {r:?}");
         // `reload` rebuilds the stream from the artifact + WAL on disk:
         // the release accepts writes again.
-        let r = s.handle_line("reload live", &mut stats).unwrap();
+        let r = s.handle_line("reload live").unwrap();
         assert!(matches!(r, Response::Reloaded { .. }), "{r:?}");
-        let r = s
-            .handle_line("insert@live Job=eng Disease=flu", &mut stats)
-            .unwrap();
+        let r = s.handle_line("insert@live Job=eng Disease=flu").unwrap();
         assert!(!r.is_error(), "recovered release ingests: {r:?}");
-        let r = s.handle_line("flush@live", &mut stats).unwrap();
+        let r = s.handle_line("flush@live").unwrap();
         assert!(matches!(r, Response::Flushed { .. }), "{r:?}");
         let _ = std::fs::remove_file(&artifact);
     }
@@ -1271,9 +1247,7 @@ mod tests {
         let mut stats = SessionStats::default();
         // Acked-but-unsynced tail (no flush): the reload must not lose it.
         for _ in 0..3 {
-            let r = s
-                .handle_line("insert@live Job=eng Disease=flu", &mut stats)
-                .unwrap();
+            let r = s.handle_line("insert@live Job=eng Disease=flu").unwrap();
             assert!(!r.is_error(), "{r:?}");
         }
         // A lease checked out *before* the reload keeps the old service
@@ -1304,11 +1278,9 @@ mod tests {
         assert!(!old_lease.handle(&q, &mut stats).is_error());
         // The reopened service owns the WAL exclusively: it ingests,
         // flushes, and serves the full durable history.
-        let r = s
-            .handle_line("insert@live Job=eng Disease=flu", &mut stats)
-            .unwrap();
+        let r = s.handle_line("insert@live Job=eng Disease=flu").unwrap();
         assert!(!r.is_error(), "{r:?}");
-        let r = s.handle_line("flush@live", &mut stats).unwrap();
+        let r = s.handle_line("flush@live").unwrap();
         assert!(matches!(r, Response::Flushed { .. }), "{r:?}");
         assert_eq!(catalog.list()[1].records, 404);
         let _ = std::fs::remove_file(&artifact);
@@ -1356,7 +1328,6 @@ mod tests {
         let release = service(400);
         let catalog = Catalog::single(Arc::clone(&release));
         let mut s = CatalogSession::new(&catalog);
-        let mut stats = SessionStats::default();
         let Response::Hello { release: name, .. } = s.hello() else {
             panic!("expected hello");
         };
@@ -1368,7 +1339,7 @@ mod tests {
             "count@beta Job=eng Disease=flu",
             "garbage",
         ] {
-            let r = s.handle_line(line, &mut stats).unwrap();
+            let r = s.handle_line(line).unwrap();
             let Response::Error { code, .. } = r else {
                 panic!("expected error for `{line}`, got {r:?}");
             };
@@ -1382,7 +1353,7 @@ mod tests {
         // Refusals and parse errors are the release's own requests.
         assert_eq!(release.stats().requests, 5);
         assert_eq!(release.stats().errors, 5);
-        assert_eq!(stats.errors, 5);
+        assert_eq!(s.totals().errors, 5);
     }
 
     #[test]
@@ -1393,10 +1364,9 @@ mod tests {
         let before = counts();
         let catalog = two_tenant_catalog();
         let mut s = CatalogSession::new(&catalog);
-        let mut stats = SessionStats::default();
         // Sampling records one line in 8, so route a few samples' worth.
         for _ in 0..4 * crate::obs::SAMPLE_EVERY {
-            s.handle_line("count@beta Job=eng Disease=flu", &mut stats);
+            s.handle_line("count@beta Job=eng Disease=flu");
         }
         let after = counts();
         for ((name, before), after) in stages.iter().zip(before).zip(after) {

@@ -54,8 +54,9 @@
 //!   snapshot+tail restore are byte-identical to the live run;
 //! * [`service`] — the shared [`QueryService`]: an `Arc<QueryEngine>`
 //!   plus a bounded deterministic answer cache keyed by canonical query
-//!   form, a batch path through the prepared NA match index, per-session
-//!   / aggregate serve counters, and (in streaming mode) the live view —
+//!   form, a batch path through the prepared NA match index, the
+//!   release's request counters (each event charged to the release and
+//!   the session together), and (in streaming mode) the live view —
 //!   answers merge base and live counts, and an insert invalidates
 //!   exactly the cached answers whose match set contains its group;
 //! * [`catalog`] — what a transport serves: a [`Catalog`] hosts N named
@@ -160,7 +161,7 @@ pub use engine::{Answer, EngineError, PreparedQueries, QueryEngine};
 pub use fault::{FaultHandle, FaultIo, FaultKind, FaultSchedule};
 pub use obs::{Clock, HistogramSummary, MockClock, MonotonicClock, Registry, TraceEvent};
 pub use protocol::{
-    ErrorCode, ProtocolError, ReleaseEntry, ReleaseMeta, Request, Response, StatsSnapshot,
+    ErrorCode, ProtocolError, ReleaseEntry, ReleaseMeta, Request, Response, Stat, StatsSnapshot,
     WireAnswer, WireQuery, WireRecord, PROTOCOL_VERSION,
 };
 pub use publication::{DesignCheck, LiveGroupSnapshot, LiveState, Publication, PublicationError};

@@ -541,11 +541,6 @@ impl Registry {
         self.trace.set_capacity(capacity);
     }
 
-    /// Current trace ring capacity.
-    pub fn trace_capacity(&self) -> usize {
-        self.trace.capacity()
-    }
-
     /// All counters in sorted name order.
     pub fn counter_values(&self) -> Vec<(&'static str, u64)> {
         self.counters.iter().map(|(&n, c)| (n, c.get())).collect()

@@ -33,9 +33,7 @@
 //!             entry := "name=" RELEASE " sa=" NAME " records=" N " groups=" N
 //!                      " live=" ("true"|"false")
 //!           | "reloaded release=" RELEASE " records=" N " groups=" N
-//!           | "stats requests=" N " answered=" N " errors=" N
-//!             " cache_hits=" N " cache_misses=" N " sessions=" N
-//!             " inserts=" N " degraded=" N " faults=" N
+//!           | "stats" (" " STAT "=" N)*     (STAT: each of [`Stat::ALL`], in order)
 //!           | "metrics counters=" N " hists=" N (" c:" NAME "=" N)*
 //!             (" h:" NAME "=" COUNT ":" P50 ":" P90 ":" P99 ":" MAX ":" MEAN)*
 //!           | "trace n=" N (" seq=" N " label=" LABEL)*
@@ -318,7 +316,7 @@ pub enum Request {
     Flush,
     /// Describe the release being served.
     Info,
-    /// Report aggregate service counters.
+    /// Report the release's request counters.
     Stats,
     /// Render the process-wide observability registry (rp/5): counters
     /// and histogram summaries, merged with the answering service's own
@@ -671,29 +669,74 @@ pub struct ReleaseEntry {
     pub live: bool,
 }
 
-/// Aggregate service counters reported by [`Response::Stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
+/// Declares the request counters once, in wire order: the fields of
+/// [`StatsSnapshot`] and the [`Stat`] naming each. Every other view of
+/// the counters — the `stats` line, the `service.*` metrics, a release's
+/// atomics and a session's totals — iterates [`Stat::ALL`].
+macro_rules! request_counters {
+    ($($(#[doc = $doc:literal])+ $stat:ident => $field:ident,)+) => {
+        /// Request counters in wire order: a release's totals, as
+        /// reported by [`Response::Stats`], or one session's totals.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        /// Names one [`StatsSnapshot`] counter.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stat {
+            $($(#[doc = $doc])+ $stat,)+
+        }
+
+        impl Stat {
+            /// Every counter in wire order; `stat as usize` is its index.
+            pub const ALL: [Stat; [$(Stat::$stat),+].len()] = [$(Stat::$stat),+];
+
+            /// The counter's name on the `stats` line.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Stat::$stat => stringify!($field),)+
+                }
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Every counter's value, in wire order.
+            pub fn values(&self) -> [u64; Stat::ALL.len()] {
+                [$(self.$field),+]
+            }
+
+            /// One counter, for update.
+            pub(crate) fn get_mut(&mut self, stat: Stat) -> &mut u64 {
+                match stat {
+                    $(Stat::$stat => &mut self.$field,)+
+                }
+            }
+        }
+    };
+}
+
+request_counters! {
     /// Non-empty request lines received.
-    pub requests: u64,
+    Requests => requests,
     /// Requests answered successfully.
-    pub answered: u64,
+    Answered => answered,
     /// Requests answered with an error.
-    pub errors: u64,
+    Errors => errors,
     /// Single-query answers served from the cache.
-    pub cache_hits: u64,
+    CacheHits => cache_hits,
     /// Single-query answers computed and inserted into the cache.
-    pub cache_misses: u64,
+    CacheMisses => cache_misses,
     /// Sessions started (stdio runs and TCP connections alike).
-    pub sessions: u64,
+    Sessions => sessions,
     /// Records inserted into the live release.
-    pub inserts: u64,
+    Inserts => inserts,
     /// Requests refused because a live release is degraded (its WAL
     /// poisoned after a failed write or fsync).
-    pub degraded: u64,
-    /// Storage faults observed by the service: every degradation plus
-    /// internal I/O errors on insert/flush/checkpoint paths.
-    pub faults: u64,
+    Degraded => degraded,
+    /// Storage faults observed: every degradation plus internal I/O
+    /// errors and lock-poison refusals on the stream paths.
+    Faults => faults,
 }
 
 /// One histogram summary as rendered by [`Response::Metrics`]:
@@ -980,13 +1023,10 @@ impl Response {
                 );
             }
             Response::Stats(s) => {
-                put(
-                    &mut out,
-                    format_args!(
-                        "stats requests={} answered={} errors={} cache_hits={} cache_misses={} sessions={} inserts={} degraded={} faults={}",
-                        s.requests, s.answered, s.errors, s.cache_hits, s.cache_misses, s.sessions, s.inserts, s.degraded, s.faults
-                    ),
-                );
+                out.push_str("stats");
+                for (stat, value) in Stat::ALL.into_iter().zip(s.values()) {
+                    put(&mut out, format_args!(" {}={value}", stat.name()));
+                }
             }
             Response::Metrics {
                 counters,
@@ -1186,17 +1226,11 @@ impl Response {
         }
         if let Some(rest) = line.strip_prefix("stats ") {
             let mut tokens = rest.split_whitespace();
-            return Ok(Response::Stats(StatsSnapshot {
-                requests: parse_u64(expect_kv(tokens.next(), "requests")?)?,
-                answered: parse_u64(expect_kv(tokens.next(), "answered")?)?,
-                errors: parse_u64(expect_kv(tokens.next(), "errors")?)?,
-                cache_hits: parse_u64(expect_kv(tokens.next(), "cache_hits")?)?,
-                cache_misses: parse_u64(expect_kv(tokens.next(), "cache_misses")?)?,
-                sessions: parse_u64(expect_kv(tokens.next(), "sessions")?)?,
-                inserts: parse_u64(expect_kv(tokens.next(), "inserts")?)?,
-                degraded: parse_u64(expect_kv(tokens.next(), "degraded")?)?,
-                faults: parse_u64(expect_kv(tokens.next(), "faults")?)?,
-            }));
+            let mut stats = StatsSnapshot::default();
+            for stat in Stat::ALL {
+                *stats.get_mut(stat) = parse_u64(expect_kv(tokens.next(), stat.name())?)?;
+            }
+            return Ok(Response::Stats(stats));
         }
         if let Some(rest) = line.strip_prefix("metrics ") {
             let mut tokens = rest.split_whitespace();

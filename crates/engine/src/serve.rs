@@ -52,8 +52,7 @@ const MAX_LINE_BYTES: usize = 64 * 1024;
 /// request/response lines from `input` to `output` until `quit` or end
 /// of input. Requests route through a [`CatalogSession`] that starts on
 /// the catalog's default release, which is charged the session start.
-/// Returns the session counters (aggregate counters accumulate on the
-/// releases).
+/// Returns the session's counter totals (each release keeps its own).
 ///
 /// If the catalog's default release is not open, the banner position
 /// carries the routing error and the session ends immediately.
@@ -72,18 +71,13 @@ pub fn serve<R: BufRead, W: Write>(
     obs.inc("serve.sessions_opened");
     obs.trace("session.open");
     let mut routing = CatalogSession::new(catalog);
-    let mut session = SessionStats::default();
     let banner = routing.hello();
-    let banner_is_error = banner.is_error();
-    if let Ok(lease) = catalog.checkout(routing.current()) {
-        lease.session_started();
-    }
     writeln!(output, "{}", banner.encode())?;
     output.flush()?;
-    if banner_is_error {
+    if banner.is_error() {
         obs.inc("serve.sessions_closed");
         obs.trace("session.close");
-        return Ok(session);
+        return Ok(routing.totals());
     }
     let mut buf = Vec::new();
     while let Some(line) = read_request(&mut input, &mut buf)? {
@@ -92,8 +86,8 @@ pub fn serve<R: BufRead, W: Write>(
         // of this iteration — including the `bye` break path.
         let _request_span = obs.span("serve.request");
         let response = match line {
-            Ok(line) => routing.handle_line(line, &mut session),
-            Err(unreadable) => Some(routing.answer_locally(unreadable, &mut session)),
+            Ok(line) => routing.handle_line(line),
+            Err(unreadable) => Some(routing.answer_locally(unreadable)),
         };
         let Some(response) = response else {
             continue; // blank line
@@ -112,7 +106,7 @@ pub fn serve<R: BufRead, W: Write>(
     obs.inc("serve.sessions_closed");
     obs.trace("session.close");
     obs.record("serve.session", obs.now_ns().saturating_sub(session_start));
-    Ok(session)
+    Ok(routing.totals())
 }
 
 /// Reads the next request line into `buf`, stripping its `\n` (and a
@@ -162,7 +156,7 @@ mod tests {
     use rp_table::{Attribute, Schema, TableBuilder};
     use std::sync::Arc;
 
-    fn fixture_service() -> QueryService {
+    fn fixture_publication() -> crate::publication::Publication {
         let schema = Schema::new(vec![
             Attribute::new("Job", ["eng", "doc"]),
             Attribute::new("Disease", ["flu", "none"]),
@@ -174,8 +168,11 @@ mod tests {
         for i in 0..400u32 {
             b.push_codes(&[i % 2, (i / 2) % 2]).unwrap();
         }
-        let publication = Publisher::new(b.build()).sa(1).seed(3).publish().unwrap();
-        QueryService::from_publication(&publication, ServiceConfig::default())
+        Publisher::new(b.build()).sa(1).seed(3).publish().unwrap()
+    }
+
+    fn fixture_service() -> QueryService {
+        QueryService::from_publication(&fixture_publication(), ServiceConfig::default())
     }
 
     fn run(input: &str) -> (String, SessionStats) {
@@ -286,6 +283,104 @@ mod tests {
             read += 1;
         }
         assert_eq!(read, 3);
+    }
+
+    /// The nine counters of one `stats` line, minus `sessions`.
+    fn counts(s: &SessionStats) -> [u64; 8] {
+        [
+            s.requests,
+            s.answered,
+            s.errors,
+            s.cache_hits,
+            s.cache_misses,
+            s.inserts,
+            s.degraded,
+            s.faults,
+        ]
+    }
+
+    #[test]
+    fn a_bare_session_counts_exactly_what_its_release_counts() {
+        use crate::fault::{FaultHandle, FaultSchedule};
+        use crate::stream::{StreamConfig, StreamPublisher};
+        let dir = std::env::temp_dir().join(format!("rp-serve-tests-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = dir.join("counts.rpwal");
+        let _ = std::fs::remove_file(&wal);
+        let _ = std::fs::remove_file(format!("{}.spill", wal.display()));
+        // `Wal::create_with` consumes syncs 1-2, so the flush's fsync is
+        // sync 3: scripted to fail and degrade the release.
+        let faults: FaultHandle = Arc::new(FaultSchedule::fsync_at(3));
+        let stream = StreamPublisher::open_with(
+            fixture_publication(),
+            &wal,
+            StreamConfig::default(),
+            faults,
+        )
+        .unwrap();
+        let release = Arc::new(QueryService::streaming(
+            stream,
+            None,
+            ServiceConfig::default(),
+        ));
+        let catalog = Catalog::single(Arc::clone(&release));
+        let mut input = b"count Job=eng Disease=flu\n\
+            count Disease=flu Job=eng\n\
+            batch Job=eng Disease=flu; Job=doc Disease=none\n\
+            count Job\n"
+            .to_vec();
+        input.extend(b"\xff\n");
+        input.extend(
+            b"use beta\n\
+            insert Job=doc Disease=none\n\
+            flush\n\
+            insert Job=doc Disease=none\n\
+            quit\n",
+        );
+        let mut out = Vec::new();
+        let totals = serve(&catalog, &input[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 11, "{text}");
+        let stats = release.stats();
+        assert_eq!(counts(&totals), counts(&stats), "{text}");
+        // requests, answered, errors, hits, misses, inserts, degraded, faults
+        assert_eq!(counts(&stats), [10, 5, 5, 1, 1, 1, 2, 2], "{text}");
+        assert_eq!(stats.sessions, 1);
+    }
+
+    #[test]
+    fn a_named_session_counts_its_tenants_plus_its_local_answers() {
+        let alpha = Arc::new(fixture_service());
+        let beta = Arc::new(fixture_service());
+        let catalog = Catalog::new("alpha").unwrap();
+        catalog.open("alpha", Arc::clone(&alpha)).unwrap();
+        catalog.open("beta", Arc::clone(&beta)).unwrap();
+        // Local answers: `releases`, `use beta`, `use gamma`,
+        // `count@gamma`, the parse error and the non-UTF-8 line.
+        let mut input = b"count Job=eng Disease=flu\n\
+            count Job=eng Disease=flu\n\
+            releases\n\
+            count@beta Job=doc Disease=none\n\
+            use beta\n\
+            batch Job=eng Disease=flu; Job=doc Disease=none\n\
+            insert Job=eng Disease=flu\n\
+            use gamma\n\
+            count@gamma Disease=flu\n\
+            count Job\n"
+            .to_vec();
+        input.extend(b"\xff\nstats\nquit\n");
+        let mut out = Vec::new();
+        let totals = serve(&catalog, &input[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 14, "{text}");
+        let (a, b) = (counts(&alpha.stats()), counts(&beta.stats()));
+        let local: [u64; 8] = [6, 2, 4, 0, 0, 0, 0, 0];
+        let sum: Vec<u64> = (0..8).map(|i| a[i] + b[i] + local[i]).collect();
+        assert_eq!(counts(&totals).to_vec(), sum, "{text}");
+        // requests, answered, errors, hits, misses, inserts, degraded, faults
+        assert_eq!(a, [2, 2, 0, 1, 1, 0, 0, 0], "{text}");
+        assert_eq!(b, [5, 4, 1, 0, 1, 0, 0, 0], "{text}");
+        assert_eq!((alpha.stats().sessions, beta.stats().sessions), (1, 0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The service owns an `Arc<`[`QueryEngine`]`>` plus everything a session
 //! needs that the engine itself does not carry: the release parameters for
 //! `info`, a bounded deterministic answer cache keyed by the canonical
-//! query form, and aggregate [`StatsSnapshot`] counters. Transports serve
+//! query form, and the release's [`StatsSnapshot`] counters. Transports serve
 //! services through a [`crate::catalog::Catalog`] — a single release is a
 //! one-entry catalog — whose session routes each parsed request to
 //! [`QueryService::handle`].
@@ -17,8 +17,8 @@
 //! The cache is a bounded FIFO map: eviction depends only on the request
 //! stream, never on wall-time or pointer order, keeping sessions
 //! deterministic. Because the engine itself is deterministic, caching can
-//! never change a response byte — only the `cache_hits` / `cache_misses`
-//! counters observable through `stats`.
+//! never change a response byte — only the cache hit and miss counters
+//! observable through `stats`.
 //!
 //! Batches bypass the answer cache and instead reuse the engine's
 //! prepared NA match index ([`QueryEngine::prepare`]), which touches each
@@ -31,7 +31,7 @@
 //! `insert`/`flush` answer `error code=degraded` carrying the durable
 //! sequence number, queries keep answering from the in-memory live view
 //! (which may include acknowledged-but-lost events until recovery), and
-//! the `degraded`/`faults` stats counters record every refusal. Recovery
+//! the degraded and fault counters record every refusal. Recovery
 //! is reopening the stream from disk — the catalog `reload` verb.
 
 use std::collections::HashMap;
@@ -44,8 +44,8 @@ use rp_table::CountQuery;
 
 use crate::engine::{Answer, QueryEngine};
 use crate::protocol::{
-    ErrorCode, ProtocolError, ReleaseMeta, Request, Response, StatsSnapshot, WireAnswer, WireQuery,
-    WireRecord, PROTOCOL_VERSION,
+    ErrorCode, ProtocolError, ReleaseMeta, Request, Response, Stat, StatsSnapshot, WireAnswer,
+    WireQuery, WireRecord, PROTOCOL_VERSION,
 };
 use crate::publication::Publication;
 use crate::stream::{StreamError, StreamPublisher};
@@ -77,29 +77,10 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Counters of one serve session (one stdio run or one TCP connection).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Non-empty request lines read.
-    pub requests: u64,
-    /// Requests answered successfully.
-    pub answered: u64,
-    /// Requests answered with an error response.
-    pub errors: u64,
-    /// Single-query answers this session served from the shared cache.
-    pub cache_hits: u64,
-    /// Single-query answers this session computed into the shared cache.
-    pub cache_misses: u64,
-    /// Records this session inserted into the live release.
-    pub inserts: u64,
-    /// Requests this session had refused because the live release is
-    /// degraded (same meaning as [`StatsSnapshot::degraded`]).
-    pub degraded: u64,
-    /// Storage faults this session observed (same meaning as
-    /// [`StatsSnapshot::faults`]; lock-poison refusals, which have no
-    /// session context, count only in the aggregate).
-    pub faults: u64,
-}
+/// The counters of one serve session (one stdio run or one TCP
+/// connection): the same [`StatsSnapshot`] a release reports, totalled
+/// over the session's own requests.
+pub type SessionStats = StatsSnapshot;
 
 /// Bounded FIFO answer cache. Insertion order alone decides eviction, so
 /// behaviour is a pure function of the request stream.
@@ -148,20 +129,6 @@ impl AnswerCache {
         self.map.retain(|query, _| !stale(query));
         self.order.retain(|query| self.map.contains_key(query));
     }
-}
-
-/// Aggregate counters shared by all sessions of one service.
-#[derive(Debug, Default)]
-struct AggregateStats {
-    requests: AtomicU64,
-    answered: AtomicU64,
-    errors: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    sessions: AtomicU64,
-    inserts: AtomicU64,
-    degraded: AtomicU64,
-    faults: AtomicU64,
 }
 
 /// The live half of a streaming service: the stream publisher behind a
@@ -236,7 +203,9 @@ pub struct QueryService {
     /// never takes the lock on the hot path.
     cache_capacity: usize,
     cache: Mutex<AnswerCache>,
-    stats: AggregateStats,
+    /// This release's totals over all its sessions, one relaxed atomic
+    /// per [`Stat`], indexed by `stat as usize`.
+    counters: [AtomicU64; Stat::ALL.len()],
 }
 
 impl QueryService {
@@ -254,7 +223,7 @@ impl QueryService {
             stream: None,
             cache_capacity: config.cache_entries,
             cache: Mutex::new(AnswerCache::new(config.cache_entries)),
-            stats: AggregateStats::default(),
+            counters: Default::default(),
         }
     }
 
@@ -400,25 +369,35 @@ impl QueryService {
         self.engine.schema().attribute(self.engine.sa()).name()
     }
 
-    /// Registers one session start (transports call this once per
-    /// connection or stdio run).
-    pub fn session_started(&self) {
-        self.stats.sessions.fetch_add(1, Ordering::Relaxed);
+    /// A snapshot of this release's counters across all its sessions.
+    pub fn stats(&self) -> StatsSnapshot {
+        let mut stats = StatsSnapshot::default();
+        for (stat, counter) in Stat::ALL.into_iter().zip(&self.counters) {
+            *stats.get_mut(stat) = counter.load(Ordering::Relaxed);
+        }
+        stats
     }
 
-    /// A snapshot of the aggregate counters across all sessions.
-    pub fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.stats.requests.load(Ordering::Relaxed),
-            answered: self.stats.answered.load(Ordering::Relaxed),
-            errors: self.stats.errors.load(Ordering::Relaxed),
-            cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
-            sessions: self.stats.sessions.load(Ordering::Relaxed),
-            inserts: self.stats.inserts.load(Ordering::Relaxed),
-            degraded: self.stats.degraded.load(Ordering::Relaxed),
-            faults: self.stats.faults.load(Ordering::Relaxed),
+    /// Charges one `stat` event to `session` and, unless the event has
+    /// no release (a catalog-local answer), to `release`'s counters: the
+    /// one place any counter is incremented.
+    pub(crate) fn charge(release: Option<&Self>, session: &mut SessionStats, stat: Stat) {
+        *session.get_mut(stat) += 1;
+        if let Some(counter) = release.and_then(|r| r.counters.get(stat as usize)) {
+            counter.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Charges one answered request: `requests`, plus `answered` or
+    /// `errors`.
+    pub(crate) fn count(release: Option<&Self>, response: &Response, session: &mut SessionStats) {
+        Self::charge(release, session, Stat::Requests);
+        let outcome = if response.is_error() {
+            Stat::Errors
+        } else {
+            Stat::Answered
+        };
+        Self::charge(release, session, outcome);
     }
 
     /// Whether the live stream behind this service is degraded (its WAL
@@ -448,7 +427,7 @@ impl QueryService {
             Ok(request) => self.handle(&request, session),
             Err(e) => {
                 let response = Response::from(e);
-                self.count(&response, session);
+                Self::count(Some(self), &response, session);
                 response
             }
         })
@@ -459,22 +438,8 @@ impl QueryService {
     /// request exactly like [`QueryService::handle_line`].
     pub fn handle(&self, request: &Request, session: &mut SessionStats) -> Response {
         let response = self.dispatch(request, session);
-        self.count(&response, session);
+        Self::count(Some(self), &response, session);
         response
-    }
-
-    /// Charges one answered request to `session` and to this release's
-    /// aggregate counters.
-    pub(crate) fn count(&self, response: &Response, session: &mut SessionStats) {
-        session.requests += 1;
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        if response.is_error() {
-            session.errors += 1;
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
-        } else {
-            session.answered += 1;
-            self.stats.answered.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     fn dispatch(&self, request: &Request, session: &mut SessionStats) -> Response {
@@ -514,7 +479,7 @@ impl QueryService {
                 Ok(a) => Response::Answer(a),
                 Err(e) => Response::from(e),
             },
-            Request::Batch(queries) => match self.answer_batch(queries) {
+            Request::Batch(queries) => match self.answer_batch(queries, session) {
                 Ok(answers) => Response::Batch(answers),
                 Err(e) => Response::from(e),
             },
@@ -540,29 +505,23 @@ impl QueryService {
     }
 
     /// Renders the rp/5 `metrics` response: the process-global
-    /// observability registry merged with this service's own
-    /// [`StatsSnapshot`] exposed under `service.*` names, everything
+    /// observability registry merged with this release's counters
+    /// exposed under `service.*` names, everything
     /// sorted by name within its class. Like `stats`, the snapshot is
     /// taken before the in-flight request is counted.
     fn metrics(&self) -> Response {
         let obs = crate::obs::global();
-        let stats = self.stats();
         let mut counters: Vec<(String, u64)> = obs
             .counter_values()
             .into_iter()
             .map(|(name, value)| (name.to_string(), value))
             .collect();
-        counters.extend([
-            ("service.answered".to_string(), stats.answered),
-            ("service.cache_hits".to_string(), stats.cache_hits),
-            ("service.cache_misses".to_string(), stats.cache_misses),
-            ("service.degraded".to_string(), stats.degraded),
-            ("service.errors".to_string(), stats.errors),
-            ("service.faults".to_string(), stats.faults),
-            ("service.inserts".to_string(), stats.inserts),
-            ("service.requests".to_string(), stats.requests),
-            ("service.sessions".to_string(), stats.sessions),
-        ]);
+        counters.extend(
+            Stat::ALL
+                .into_iter()
+                .zip(self.stats().values())
+                .map(|(stat, value)| (format!("service.{}", stat.name()), value)),
+        );
         counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let histograms = obs
             .histogram_summaries()
@@ -597,9 +556,10 @@ impl QueryService {
     fn publisher_guard<'a>(
         &self,
         backend: &'a StreamBackend,
+        session: &mut SessionStats,
     ) -> Result<std::sync::MutexGuard<'a, StreamPublisher>, ProtocolError> {
         backend.publisher.lock().map_err(|_| {
-            self.stats.faults.fetch_add(1, Ordering::Relaxed);
+            Self::charge(Some(self), session, Stat::Faults);
             ProtocolError {
                 code: ErrorCode::Internal,
                 message:
@@ -643,7 +603,7 @@ impl QueryService {
         session: &mut SessionStats,
     ) -> Result<Response, ProtocolError> {
         let backend = self.backend()?;
-        let mut publisher = self.publisher_guard(backend)?;
+        let mut publisher = self.publisher_guard(backend, session)?;
         let values: Vec<(&str, &str)> = record
             .fields
             .iter()
@@ -656,8 +616,7 @@ impl QueryService {
             self.cache_guard()
                 .invalidate_matching(|query| publisher.key_matches(&outcome.key, query));
         }
-        session.inserts += 1;
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
+        Self::charge(Some(self), session, Stat::Inserts);
         Ok(Response::Inserted {
             group_size: outcome.group_size,
             republished: outcome.republished,
@@ -680,7 +639,7 @@ impl QueryService {
     }
 
     /// Maps a stream failure to its wire error, recording the fault
-    /// counters (aggregate *and* per-session): a degradation counts
+    /// counters: a degradation counts
     /// under both `degraded` and `faults`, any other I/O failure under
     /// `faults` alone, and validation failures (bad column, unknown
     /// value) under neither.
@@ -690,18 +649,11 @@ impl QueryService {
             StreamError::Io(_) => ErrorCode::Internal,
             _ => ErrorCode::BadQuery,
         };
-        match code {
-            ErrorCode::Degraded => {
-                session.degraded += 1;
-                session.faults += 1;
-                self.stats.degraded.fetch_add(1, Ordering::Relaxed);
-                self.stats.faults.fetch_add(1, Ordering::Relaxed);
-            }
-            ErrorCode::Internal => {
-                session.faults += 1;
-                self.stats.faults.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
+        if code == ErrorCode::Degraded {
+            Self::charge(Some(self), session, Stat::Degraded);
+        }
+        if matches!(code, ErrorCode::Degraded | ErrorCode::Internal) {
+            Self::charge(Some(self), session, Stat::Faults);
         }
         ProtocolError {
             code,
@@ -745,7 +697,19 @@ impl QueryService {
         })
     }
 
-    /// The base-release counts for a canonical query.
+    /// The publisher guard of a streaming service (`None` when static),
+    /// which a caller holds across computing an answer from the live view.
+    fn live_guard(
+        &self,
+        session: &mut SessionStats,
+    ) -> Result<Option<std::sync::MutexGuard<'_, StreamPublisher>>, ProtocolError> {
+        self.stream
+            .as_ref()
+            .map(|backend| self.publisher_guard(backend, session))
+            .transpose()
+    }
+
+    /// The base-release counts for a canonical query (bitmap-indexed).
     fn base_counts(&self, key: &CountQuery) -> Result<(u64, u64), ProtocolError> {
         self.engine.counts(key).map_err(|e| ProtocolError {
             code: ErrorCode::BadQuery,
@@ -753,25 +717,21 @@ impl QueryService {
         })
     }
 
-    /// Answers one canonical query against the served view: base-release
-    /// counts (bitmap-indexed) plus, on a streaming service, the live
-    /// groups' counts, estimated over the union.
-    fn compute(&self, key: &CountQuery) -> Result<Answer, ProtocolError> {
-        let (mut support, mut observed) = self.base_counts(key)?;
-        if let Some(backend) = &self.stream {
-            let publisher = self.publisher_guard(backend)?;
+    /// Answers one canonical query against the served view: its `base`
+    /// counts plus, given the live stream, the live groups' counts,
+    /// estimated over the union.
+    fn compute(
+        &self,
+        key: &CountQuery,
+        (mut support, mut observed): (u64, u64),
+        live: Option<&StreamPublisher>,
+    ) -> Answer {
+        if let Some(publisher) = live {
             let (live_support, live_observed) = publisher.live_support_observed(key);
             support += live_support;
             observed += live_observed;
         }
-        Ok(self.engine.answer_from_counts(support, observed))
-    }
-
-    /// Records a cache miss and stores the freshly computed answer.
-    fn cache_miss(&self, key: CountQuery, answer: Answer, session: &mut SessionStats) {
-        session.cache_misses += 1;
-        self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.cache_guard().insert(key, answer);
+        self.engine.answer_from_counts(support, observed)
     }
 
     fn answer_single(
@@ -798,45 +758,31 @@ impl QueryService {
                 });
             }
             if let Some(hit) = hit {
-                session.cache_hits += 1;
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                Self::charge(Some(self), session, Stat::CacheHits);
                 return Ok(WireAnswer::from(&hit));
             }
         }
-        let answer = match &self.stream {
-            None => {
-                // Static release: the engine is immutable, so computing
-                // and caching need no coordination.
-                let (support, observed) = self.base_counts(&key)?;
-                let answer = self.engine.answer_from_counts(support, observed);
-                if self.cache_capacity > 0 {
-                    self.cache_miss(key, answer, session);
-                }
-                answer
-            }
-            Some(backend) => {
-                // Streaming: compute AND cache under the stream lock.
-                // Releasing it in between would race with a concurrent
-                // insert — its surgical invalidation could run before
-                // this (pre-insert) answer lands in the cache, leaving a
-                // stale entry behind. The insert path takes the locks in
-                // the same stream→cache order, so no deadlock.
-                let publisher = self.publisher_guard(backend)?;
-                let (mut support, mut observed) = self.base_counts(&key)?;
-                let (live_support, live_observed) = publisher.live_support_observed(&key);
-                support += live_support;
-                observed += live_observed;
-                let answer = self.engine.answer_from_counts(support, observed);
-                if self.cache_capacity > 0 {
-                    self.cache_miss(key, answer, session);
-                }
-                answer
-            }
-        };
+        // A streaming service computes AND caches under the stream lock.
+        // Releasing it in between would race with a concurrent insert —
+        // its surgical invalidation could run before this (pre-insert)
+        // answer lands in the cache, leaving a stale entry behind. The
+        // insert path takes the locks in the same stream→cache order, so
+        // no deadlock. A static engine is immutable and needs no lock.
+        let live = self.live_guard(session)?;
+        let answer = self.compute(&key, self.base_counts(&key)?, live.as_deref());
+        if self.cache_capacity > 0 {
+            Self::charge(Some(self), session, Stat::CacheMisses);
+            self.cache_guard().insert(key, answer);
+        }
+        drop(live);
         Ok(WireAnswer::from(&answer))
     }
 
-    fn answer_batch(&self, queries: &[WireQuery]) -> Result<Vec<WireAnswer>, ProtocolError> {
+    fn answer_batch(
+        &self,
+        queries: &[WireQuery],
+        session: &mut SessionStats,
+    ) -> Result<Vec<WireAnswer>, ProtocolError> {
         let mut resolved = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
             resolved.push(self.resolve(q).map_err(|e| ProtocolError {
@@ -849,7 +795,11 @@ impl QueryService {
             // under inserts); answer query by query over base + live.
             return resolved
                 .iter()
-                .map(|q| self.compute(q).map(|a| WireAnswer::from(&a)))
+                .map(|q| {
+                    let base = self.base_counts(q)?;
+                    let live = self.live_guard(session)?;
+                    Ok(WireAnswer::from(&self.compute(q, base, live.as_deref())))
+                })
                 .collect();
         }
         let prepared = self.engine.prepare(&resolved).map_err(|e| ProtocolError {
@@ -1041,9 +991,9 @@ mod tests {
     #[test]
     fn stats_snapshot_counts_sessions() {
         let s = service(4);
-        s.session_started();
-        s.session_started();
         let mut session = SessionStats::default();
+        QueryService::charge(Some(&s), &mut session, Stat::Sessions);
+        QueryService::charge(Some(&s), &mut session, Stat::Sessions);
         s.handle_line("ping", &mut session);
         let Some(Response::Stats(snap)) = s.handle_line("stats", &mut session) else {
             panic!("expected stats");
@@ -1246,9 +1196,39 @@ mod tests {
         let snap = s.stats();
         assert_eq!(snap.degraded, 2);
         assert_eq!(snap.faults, 2);
-        // Per-session stats carry the same schema as the aggregate.
+        // The session's totals are the same counters as the release's.
         assert_eq!(session.degraded, 2);
         assert_eq!(session.faults, 2);
+    }
+
+    #[test]
+    fn a_poisoned_stream_lock_refuses_and_counts_a_fault_in_both_totals() {
+        let s = streaming_service("poison.rpwal", 8);
+        let backend = s.stream.as_ref().unwrap();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = backend.publisher.lock().unwrap();
+                panic!("poisoning the publisher lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        let mut session = SessionStats::default();
+        for line in ["insert Job=eng Disease=flu", "count Job=eng Disease=flu"] {
+            let r = s.handle_line(line, &mut session).unwrap();
+            assert!(
+                matches!(
+                    r,
+                    Response::Error {
+                        code: ErrorCode::Internal,
+                        ..
+                    }
+                ),
+                "`{line}`: {r:?}"
+            );
+        }
+        assert_eq!(s.stats().faults, 2);
+        assert_eq!(session.faults, 2);
+        assert_eq!(session, s.stats());
     }
 
     #[test]

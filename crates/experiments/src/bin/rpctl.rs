@@ -130,7 +130,7 @@ use rp_core::privacy::PrivacyParams;
 use rp_datagen::adult::AdultSource;
 use rp_engine::{
     serve, Catalog, FaultHandle, FaultSchedule, Publication, Publisher, QueryEngine, QueryService,
-    Request, Response, Server, ServerConfig, ServiceConfig, StreamConfig, StreamPublisher,
+    Request, Response, Server, ServerConfig, ServiceConfig, Stat, StreamConfig, StreamPublisher,
     WireAnswer, WireQuery, WireRecord,
 };
 use rp_experiments::bakeoff;
@@ -620,6 +620,20 @@ impl RemoteSession {
             .map_err(|e| format!("write to {}: {e}", self.addr))
     }
 
+    /// The whole exchange of a one-shot client: sends `request`, reads
+    /// its response and says `quit`. An `error` response becomes the
+    /// `server refused` error; any other is the caller's to match.
+    fn ask(mut self, request: &Request) -> Result<Response, String> {
+        self.send(request)?;
+        let response = self.read_response()?;
+        // Best-effort farewell; the answer is already in hand.
+        let _ = writeln!(self.writer, "quit");
+        match response {
+            Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
+            other => Ok(other),
+        }
+    }
+
     /// Switches the session to a named catalog release. The `using`
     /// response — not the HELLO banner, which described the *default*
     /// release — is the authority for the active release's SA column,
@@ -646,9 +660,14 @@ impl RemoteSession {
             Response::Error { code, message } => {
                 Err(format!("cannot use release {name} ({code}): {message}"))
             }
-            other => Err(format!("unexpected response: {}", other.encode())),
+            other => Err(unexpected(&other)),
         }
     }
+}
+
+/// The error for a response of the wrong kind.
+fn unexpected(response: &Response) -> String {
+    format!("unexpected response: {}", response.encode())
 }
 
 /// Speaks the `rp_engine::protocol` over TCP: HELLO banner (which names
@@ -665,11 +684,7 @@ fn cmd_query_remote(opts: &Options, addr: &str) -> Result<(), String> {
     let p = session.p;
     let mut conditions: Vec<(String, String)> = opts.conditions.clone();
     conditions.push((session.sa.clone(), value.to_string()));
-    session.send(&Request::Query(WireQuery::new(conditions.clone())))?;
-    let response = session.read_response()?;
-    // Best-effort farewell; the answer is already in hand.
-    let _ = writeln!(session.writer, "quit");
-    match response {
+    match session.ask(&Request::Query(WireQuery::new(conditions.clone())))? {
         Response::Answer(answer) => {
             print_answer(&answer, p, "server");
             // --raw is a purely client-side comparison; it works the same
@@ -690,8 +705,7 @@ fn cmd_query_remote(opts: &Options, addr: &str) -> Result<(), String> {
             }
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
-        other => Err(format!("unexpected response: {}", other.encode())),
+        other => Err(unexpected(&other)),
     }
 }
 
@@ -748,19 +762,14 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     } else {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
-        let stats =
+        let totals =
             serve(&catalog, stdin.lock(), stdout.lock()).map_err(|e| format!("serve loop: {e}"))?;
-        eprintln!(
-            "served {} requests ({} answered, {} errors, {} cache hits, {} inserts, \
-             {} degraded refusals, {} faults)",
-            stats.requests,
-            stats.answered,
-            stats.errors,
-            stats.cache_hits,
-            stats.inserts,
-            stats.degraded,
-            stats.faults
-        );
+        let counts: Vec<String> = Stat::ALL
+            .into_iter()
+            .zip(totals.values())
+            .map(|(stat, n)| format!("{}={n}", stat.name()))
+            .collect();
+        eprintln!("served: {}", counts.join(" "));
     }
     // Final durability point of a streaming server: sync the WAL (and
     // write the snapshot) so a graceful shutdown never loses
@@ -928,11 +937,7 @@ fn named_catalog(opts: &Options, config: ServiceConfig) -> Result<Catalog, Strin
 /// Lists a catalog server's releases over TCP.
 fn cmd_releases(opts: &Options) -> Result<(), String> {
     let addr = opts.connect.as_deref().ok_or("--connect is required")?;
-    let mut session = RemoteSession::connect(addr, opts.client_timeout())?;
-    session.send(&Request::Releases)?;
-    let response = session.read_response()?;
-    let _ = writeln!(session.writer, "quit");
-    match response {
+    match RemoteSession::connect(addr, opts.client_timeout())?.ask(&Request::Releases)? {
         Response::Releases(entries) => {
             for e in &entries {
                 println!(
@@ -947,8 +952,7 @@ fn cmd_releases(opts: &Options) -> Result<(), String> {
             println!("{} releases", entries.len());
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
-        other => Err(format!("unexpected response: {}", other.encode())),
+        other => Err(unexpected(&other)),
     }
 }
 
@@ -959,11 +963,9 @@ fn cmd_reload(opts: &Options) -> Result<(), String> {
         .releases
         .first()
         .ok_or("--release NAME names the release to reload")?;
-    let mut session = RemoteSession::connect(addr, opts.client_timeout())?;
-    session.send(&Request::Reload(name.clone()))?;
-    let response = session.read_response()?;
-    let _ = writeln!(session.writer, "quit");
-    match response {
+    match RemoteSession::connect(addr, opts.client_timeout())?
+        .ask(&Request::Reload(name.clone()))?
+    {
         Response::Reloaded {
             release,
             records,
@@ -972,8 +974,7 @@ fn cmd_reload(opts: &Options) -> Result<(), String> {
             println!("reloaded {release}: {records} records in {groups} groups");
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
-        other => Err(format!("unexpected response: {}", other.encode())),
+        other => Err(unexpected(&other)),
     }
 }
 
@@ -981,11 +982,7 @@ fn cmd_reload(opts: &Options) -> Result<(), String> {
 /// then every latency histogram with its bucket-derived quantiles.
 fn cmd_metrics(opts: &Options) -> Result<(), String> {
     let addr = opts.connect.as_deref().ok_or("--connect is required")?;
-    let mut session = RemoteSession::connect(addr, opts.client_timeout())?;
-    session.send(&Request::Metrics)?;
-    let response = session.read_response()?;
-    let _ = writeln!(session.writer, "quit");
-    match response {
+    match RemoteSession::connect(addr, opts.client_timeout())?.ask(&Request::Metrics)? {
         Response::Metrics {
             counters,
             histograms,
@@ -1006,8 +1003,7 @@ fn cmd_metrics(opts: &Options) -> Result<(), String> {
             );
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
-        other => Err(format!("unexpected response: {}", other.encode())),
+        other => Err(unexpected(&other)),
     }
 }
 
@@ -1015,11 +1011,7 @@ fn cmd_metrics(opts: &Options) -> Result<(), String> {
 /// structured events (default: the whole retained ring), oldest first.
 fn cmd_trace(opts: &Options) -> Result<(), String> {
     let addr = opts.connect.as_deref().ok_or("--connect is required")?;
-    let mut session = RemoteSession::connect(addr, opts.client_timeout())?;
-    session.send(&Request::Trace(opts.trace_n))?;
-    let response = session.read_response()?;
-    let _ = writeln!(session.writer, "quit");
-    match response {
+    match RemoteSession::connect(addr, opts.client_timeout())?.ask(&Request::Trace(opts.trace_n))? {
         Response::Trace(events) => {
             for e in &events {
                 println!("{} {}", e.seq, e.label);
@@ -1027,8 +1019,7 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
             println!("{} trace events", events.len());
             Ok(())
         }
-        Response::Error { code, message } => Err(format!("server refused ({code}): {message}")),
-        other => Err(format!("unexpected response: {}", other.encode())),
+        other => Err(unexpected(&other)),
     }
 }
 
@@ -1149,7 +1140,7 @@ fn cmd_ingest_remote(
             Response::Error { code, message } => {
                 return Err(format!("record {} refused ({code}): {message}", i + 1));
             }
-            other => return Err(format!("unexpected response: {}", other.encode())),
+            other => return Err(unexpected(&other)),
         }
     }
     session.send(&Request::Flush)?;
@@ -1158,7 +1149,7 @@ fn cmd_ingest_remote(
         Response::Error { code, message } => {
             return Err(format!("flush refused ({code}): {message}"));
         }
-        other => return Err(format!("unexpected response: {}", other.encode())),
+        other => return Err(unexpected(&other)),
     };
     let _ = writeln!(session.writer, "quit");
     println!(

@@ -42,11 +42,6 @@ impl Column {
         &self.codes
     }
 
-    /// Mutable access to the codes (used by in-place perturbation).
-    pub fn codes_mut(&mut self) -> &mut [u32] {
-        &mut self.codes
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.codes.len()
