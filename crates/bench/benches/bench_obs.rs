@@ -13,6 +13,7 @@
 //!   rp/5 `metrics` response line (the scrape path).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rp_engine::obs::{Counter, Hist};
 use rp_engine::protocol::WireHistogram;
 use rp_engine::{Registry, Response};
 
@@ -22,11 +23,11 @@ use rp_engine::{Registry, Response};
 fn populated_registry() -> Registry {
     let registry = Registry::new();
     for i in 0..4096u64 {
-        registry.record("wal.sync", i * 131 + 17);
-        registry.record("serve.request", i * 7 + 3);
+        registry.record(Hist::WalSync, i * 131 + 17);
+        registry.record(Hist::ServeRequest, i * 7 + 3);
     }
     for _ in 0..1000 {
-        registry.inc("catalog.reload");
+        registry.inc(Counter::CatalogReload);
     }
     registry
 }
@@ -42,19 +43,7 @@ fn render_metrics(registry: &Registry) -> String {
         histograms: registry
             .histogram_summaries()
             .into_iter()
-            .map(|(name, s)| WireHistogram {
-                name: name.to_string(),
-                count: s.count,
-                p50: s.p50,
-                p90: s.p90,
-                p99: s.p99,
-                max: s.max,
-                mean: if s.count == 0 {
-                    0.0
-                } else {
-                    s.sum as f64 / s.count as f64
-                },
-            })
+            .map(|(name, s)| WireHistogram::from_summary(name, &s))
             .collect(),
     };
     response.encode()
@@ -65,11 +54,11 @@ fn bench_obs(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("obs");
     group.bench_function("counter_inc", |b| {
-        b.iter(|| registry.inc("stream.republish"));
+        b.iter(|| registry.inc(Counter::StreamRepublish));
     });
     group.bench_function("span", |b| {
         b.iter(|| {
-            let span = registry.span("wal.sync");
+            let span = registry.span(Hist::WalSync);
             drop(span);
         });
     });
@@ -77,7 +66,7 @@ fn bench_obs(c: &mut Criterion) {
         let mut v = 1u64;
         b.iter(|| {
             v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
-            registry.record("serve.request", v >> 40);
+            registry.record(Hist::ServeRequest, v >> 40);
         });
     });
     group.bench_function("histogram_quantile", |b| {

@@ -53,6 +53,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use crate::obs::{Counter, Event};
 use crate::protocol::{
     is_release_name, ErrorCode, ReleaseEntry, Request, Response, Stat, PROTOCOL_VERSION,
 };
@@ -523,8 +524,8 @@ impl Catalog {
                 // needs.
                 let _ = old_service.seal();
                 let obs = crate::obs::global();
-                obs.inc("catalog.seal");
-                obs.trace("catalog.seal");
+                obs.inc(Counter::CatalogSeal);
+                obs.trace(Event::CatalogSeal);
             }
             let service = build_source(name, &source)?;
             self.reload(name, service)
@@ -532,8 +533,8 @@ impl Catalog {
         reloading.store(false, Ordering::SeqCst);
         if result.is_ok() {
             let obs = crate::obs::global();
-            obs.inc("catalog.reload");
-            obs.trace("catalog.reload");
+            obs.inc(Counter::CatalogReload);
+            obs.trace(Event::CatalogReload);
         }
         result
     }
@@ -830,14 +831,14 @@ impl<'a> CatalogSession<'a> {
             if route.closing.load(Ordering::SeqCst) {
                 release_unit(self.catalog, &route.busy, &route.closing);
             } else {
-                crate::obs::global().inc("catalog.route_fast");
+                crate::obs::global().inc(Counter::CatalogRouteFast);
                 let response = answer(&route.service, &mut self.totals);
                 release_unit(self.catalog, &route.busy, &route.closing);
                 return response;
             }
         }
         self.route = None;
-        crate::obs::global().inc("catalog.route_slow");
+        crate::obs::global().inc(Counter::CatalogRouteSlow);
         match self.catalog.checkout(&self.current) {
             Ok(lease) => {
                 self.route = Some(RouteCache::from_lease(epoch, &lease));
@@ -1358,9 +1359,14 @@ mod tests {
 
     #[test]
     fn routed_lines_record_the_service_stage_histograms() {
+        use crate::obs::Hist;
         let obs = crate::obs::global();
-        let stages = ["service.parse", "service.execute", "service.handle"];
-        let counts = || stages.map(|name| obs.histogram(name).snapshot().count);
+        let stages = [
+            Hist::ServiceParse,
+            Hist::ServiceExecute,
+            Hist::ServiceHandle,
+        ];
+        let counts = || stages.map(|hist| obs.summary(hist).count);
         let before = counts();
         let catalog = two_tenant_catalog();
         let mut s = CatalogSession::new(&catalog);
@@ -1369,8 +1375,8 @@ mod tests {
             s.handle_line("count@beta Job=eng Disease=flu");
         }
         let after = counts();
-        for ((name, before), after) in stages.iter().zip(before).zip(after) {
-            assert!(after > before, "{name}: {before} -> {after}");
+        for ((hist, before), after) in stages.iter().zip(before).zip(after) {
+            assert!(after > before, "{}: {before} -> {after}", hist.name());
         }
     }
 }

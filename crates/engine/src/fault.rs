@@ -32,6 +32,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::obs::{Counter, Event};
+
 /// SplitMix64's additive constant (the golden-ratio increment) — the
 /// same discipline as the stream's per-group generator, so fault draws
 /// are pure functions of `(seed, op index)`.
@@ -190,8 +192,8 @@ impl FaultSchedule {
     fn inject(&self, kind: FaultKind, op: u64) -> io::Error {
         self.injected.fetch_add(1, Ordering::Relaxed);
         let obs = crate::obs::global();
-        obs.inc("fault.injected");
-        obs.trace("fault.injected");
+        obs.inc(Counter::FaultInjected);
+        obs.trace(Event::FaultInjected);
         io::Error::other(format!("injected {kind} (op {op})"))
     }
 }
@@ -224,8 +226,8 @@ impl FaultIo for FaultSchedule {
             FaultKind::ShortWrite if len > 1 => {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 let obs = crate::obs::global();
-                obs.inc("fault.injected");
-                obs.trace("fault.injected");
+                obs.inc(Counter::FaultInjected);
+                obs.trace(Event::FaultInjected);
                 Ok(len / 2)
             }
             // A 1-byte (or empty) write has no non-empty strict prefix

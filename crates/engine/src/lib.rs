@@ -82,7 +82,9 @@
 //!   read-only; catalog `reload` is the recovery path;
 //! * [`obs`] — observability: a process-global [`obs::Registry`]
 //!   of atomic counters, log₂-bucketed latency histograms and a bounded
-//!   trace ring, threaded through every layer above and exposed by the
+//!   trace ring, each addressed by a closed typed id ([`obs::Counter`],
+//!   [`obs::Hist`], [`obs::Event`]) rather than a name, threaded through
+//!   every layer above and exposed by the
 //!   rp/5 `metrics` / `trace` verbs. Instrumentation changes zero response
 //!   bytes of the other verbs, and every production clock read routes
 //!   through [`obs::Clock`] (enforced by `rp-analyze`'s `obs-clock` rule).

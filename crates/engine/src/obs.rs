@@ -1,13 +1,19 @@
-//! Process-wide observability: named counters, log₂-bucketed latency
+//! Process-wide observability: counters, log₂-bucketed latency
 //! histograms, scope-timing spans, and a bounded ring buffer of recent
 //! structured trace events.
 //!
+//! Every metric is a closed id: [`Counter`], [`Hist`] and trace [`Event`]
+//! are declared once below, in sorted wire order, with their wire names.
+//! The [`Registry`] holds fixed arrays indexed by id, so recording is an
+//! array index plus relaxed atomics, and a misspelt metric is a compile
+//! error rather than a lookup miss.
+//!
 //! The subsystem is dependency-free and lock-free on the hot path: counters
 //! and histogram buckets are plain [`AtomicU64`]s, and only the trace ring
-//! takes a (leaf-only, never nested) mutex. Everything hangs off a
-//! [`Registry`]; production code uses the process-global registry returned by
-//! [`global`], while tests construct private registries with
-//! [`Registry::with_clock`] and a [`MockClock`] for deterministic timings.
+//! takes a (leaf-only, never nested) mutex. Production code uses the
+//! process-global registry returned by [`global`], while tests construct
+//! private registries with [`Registry::with_clock`] and a [`MockClock`] for
+//! deterministic timings.
 //!
 //! # Contracts
 //!
@@ -27,15 +33,16 @@
 //! # Cost model
 //!
 //! Per-request stage timings (`service.parse` / `service.execute` /
-//! `service.handle`, `service.cache_lookup`, `serve.encode`) are sampled
-//! 1-in-[`SAMPLE_EVERY`] via a per-histogram tick counter so the steady-state
-//! overhead on the serving hot path stays within a few percent; the first
-//! event at each site is always sampled, so one request is enough to make
-//! every driven histogram non-empty. Expensive, infrequent operations (WAL
-//! `sync_data`, replay, spill page I/O, whole sessions) are timed on every
-//! occurrence.
+//! `service.handle`, `service.cache_lookup`, `serve.encode`, `wal.append`)
+//! are sampled 1-in-[`SAMPLE_EVERY`] via a per-histogram tick counter
+//! ([`Registry::sampled_start`] then [`Registry::record_since`]) so the
+//! steady-state overhead on the serving hot path stays within a few
+//! percent; the first event at each site is always sampled, so one request
+//! is enough to make every driven histogram non-empty. Expensive,
+//! infrequent operations (WAL `sync_data`, replay, spill page I/O, whole
+//! sessions) are timed on every occurrence.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -43,7 +50,7 @@ use std::time::Instant;
 /// Number of log₂ histogram buckets. Bucket 0 holds exact zeros; bucket
 /// `i ≥ 1` holds values in `[2^(i-1), 2^i - 1]`; the last bucket absorbs
 /// everything from `2^62` up.
-pub const BUCKET_COUNT: usize = 64;
+const BUCKET_COUNT: usize = 64;
 
 /// Sampled instrumentation sites record one event in every `SAMPLE_EVERY`
 /// (the tick counter starts at zero, so the first event is always recorded).
@@ -53,40 +60,77 @@ pub const SAMPLE_EVERY: u64 = 8;
 /// overrides it at startup).
 pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 
-/// Every counter the engine increments, sorted by name. The registry is
-/// closed-world: looking up a name outside this list returns a shared
-/// fallback cell that is never exported, so a typo cannot panic a server.
-pub const COUNTERS: &[&str] = &[
-    "catalog.reload",
-    "catalog.route_fast",
-    "catalog.route_slow",
-    "catalog.seal",
-    "fault.injected",
-    "serve.sessions_closed",
-    "serve.sessions_opened",
-    "server.busy_refused",
-    "stream.degraded",
-    "stream.replayed_events",
-    "stream.republish",
-];
+/// Declares each closed id enum once, its variants listed in sorted wire
+/// order with their wire names, and generates `ALL` and `name()`.
+macro_rules! obs_ids {
+    ($($(#[doc = $doc:literal])+ $ty:ident { $($id:ident => $name:literal,)+ })+) => {$(
+        $(#[doc = $doc])+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $(#[doc = concat!("`", $name, "`")] $id,)+
+        }
 
-/// Every histogram the engine records into, sorted by name. Values are
-/// nanoseconds except `commit.batch_events` (events per commit batch).
-pub const HISTOGRAMS: &[&str] = &[
-    "commit.batch_events",
-    "serve.encode",
-    "serve.request",
-    "serve.session",
-    "service.cache_lookup",
-    "service.execute",
-    "service.handle",
-    "service.parse",
-    "spill.page_read",
-    "spill.page_write",
-    "stream.replay",
-    "wal.append",
-    "wal.sync",
-];
+        impl $ty {
+            /// Every id in sorted wire order; `id as usize` is its index.
+            pub const ALL: [$ty; [$($ty::$id),+].len()] = [$($ty::$id),+];
+
+            /// The id's wire name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$id => $name,)+
+                }
+            }
+        }
+    )+};
+}
+
+obs_ids! {
+    /// A registry counter.
+    Counter {
+        CatalogReload => "catalog.reload",
+        CatalogRouteFast => "catalog.route_fast",
+        CatalogRouteSlow => "catalog.route_slow",
+        CatalogSeal => "catalog.seal",
+        FaultInjected => "fault.injected",
+        ServeSessionsClosed => "serve.sessions_closed",
+        ServeSessionsOpened => "serve.sessions_opened",
+        ServerBusyRefused => "server.busy_refused",
+        StreamDegraded => "stream.degraded",
+        StreamReplayedEvents => "stream.replayed_events",
+        StreamRepublish => "stream.republish",
+    }
+    /// A registry histogram. Values are nanoseconds except
+    /// `commit.batch_events` (events per commit batch).
+    Hist {
+        CommitBatchEvents => "commit.batch_events",
+        ServeEncode => "serve.encode",
+        ServeRequest => "serve.request",
+        ServeSession => "serve.session",
+        ServiceCacheLookup => "service.cache_lookup",
+        ServiceExecute => "service.execute",
+        ServiceHandle => "service.handle",
+        ServiceParse => "service.parse",
+        SpillPageRead => "spill.page_read",
+        SpillPageWrite => "spill.page_write",
+        StreamReplay => "stream.replay",
+        WalAppend => "wal.append",
+        WalSync => "wal.sync",
+    }
+    /// A trace-ring event; its name is the label the `trace` verb renders.
+    Event {
+        CacheHit => "cache.hit",
+        CacheMiss => "cache.miss",
+        CatalogReload => "catalog.reload",
+        CatalogSeal => "catalog.seal",
+        CommitFlush => "commit.flush",
+        FaultInjected => "fault.injected",
+        SessionClose => "session.close",
+        SessionOpen => "session.open",
+        StreamDegraded => "stream.degraded",
+        StreamReplay => "stream.replay",
+        StreamRepublish => "stream.republish",
+    }
+}
 
 /// A monotonic nanosecond clock. Implementations must be cheap: `now_ns` sits
 /// on every span and sampled stage timing.
@@ -141,11 +185,6 @@ impl MockClock {
     pub fn advance(&self, ns: u64) {
         self.now.fetch_add(ns, Ordering::Relaxed);
     }
-
-    /// Jump the clock to an absolute reading.
-    pub fn set(&self, ns: u64) {
-        self.now.store(ns, Ordering::Relaxed);
-    }
 }
 
 impl Clock for MockClock {
@@ -154,31 +193,8 @@ impl Clock for MockClock {
     }
 }
 
-/// A monotonically increasing event counter.
-#[derive(Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Increment by `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
 /// Map a value to its log₂ bucket index (see [`BUCKET_COUNT`]).
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -187,7 +203,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Largest value a bucket can hold (before clamping to the observed max).
-pub fn bucket_ceiling(index: usize) -> u64 {
+fn bucket_ceiling(index: usize) -> u64 {
     if index == 0 {
         0
     } else if index >= BUCKET_COUNT - 1 {
@@ -201,22 +217,16 @@ pub fn bucket_ceiling(index: usize) -> u64 {
 /// bucket vector: a reported pXX is the ceiling of the bucket containing the
 /// rank-⌈XX% · count⌉ observation, clamped to the exact observed maximum, so
 /// it is an upper bound tight to one power of two.
-pub struct Histogram {
+struct Histogram {
     buckets: [AtomicU64; BUCKET_COUNT],
     sum: AtomicU64,
     max: AtomicU64,
     tick: AtomicU64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
@@ -226,7 +236,7 @@ impl Histogram {
     }
 
     /// Record one observation.
-    pub fn record(&self, v: u64) {
+    fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -234,7 +244,7 @@ impl Histogram {
 
     /// Deterministic 1-in-[`SAMPLE_EVERY`] sampling decision, advancing this
     /// histogram's private tick. The first call returns `true`.
-    pub fn tick_sampled(&self) -> bool {
+    fn tick_sampled(&self) -> bool {
         self.tick
             .fetch_add(1, Ordering::Relaxed)
             .is_multiple_of(SAMPLE_EVERY)
@@ -243,7 +253,7 @@ impl Histogram {
     /// Snapshot counts and derived quantiles. Concurrent recording makes the
     /// snapshot approximate (never torn per-bucket, but buckets are read one
     /// by one); that is fine for an exposition surface.
-    pub fn snapshot(&self) -> HistogramSummary {
+    fn snapshot(&self) -> HistogramSummary {
         let mut buckets = [0u64; BUCKET_COUNT];
         let mut count: u64 = 0;
         for (slot, bucket) in buckets.iter_mut().zip(self.buckets.iter()) {
@@ -297,13 +307,13 @@ pub struct HistogramSummary {
 }
 
 /// One entry in the trace ring: a monotonically increasing sequence number
-/// and a protocol-token-safe label.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// and the event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Position in the session-wide event stream (never reused).
     pub seq: u64,
-    /// Sanitized event label, e.g. `session.open` or `stream.degraded`.
-    pub label: String,
+    /// What happened, e.g. [`Event::SessionOpen`].
+    pub event: Event,
 }
 
 struct TraceBuf {
@@ -314,13 +324,13 @@ struct TraceBuf {
 
 /// Bounded ring buffer of recent structured events. Pushes take a leaf-only
 /// mutex; the lock is never held across any other lock acquisition.
-pub struct TraceLog {
+struct TraceLog {
     inner: Mutex<TraceBuf>,
 }
 
 impl TraceLog {
     /// An empty ring with the given capacity (0 disables recording).
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(TraceBuf {
                 events: VecDeque::new(),
@@ -339,60 +349,35 @@ impl TraceLog {
         }
     }
 
-    /// Append an event, evicting the oldest when full. Labels are sanitized
-    /// to protocol-safe tokens (`[A-Za-z0-9._:,-]`).
-    pub fn push(&self, label: &str) {
+    /// Append an event, evicting the oldest when full.
+    fn push(&self, event: Event) {
         let mut buf = self.locked();
         if buf.capacity == 0 {
             return;
         }
         let seq = buf.next_seq;
         buf.next_seq += 1;
-        let label = sanitize_label(label);
-        buf.events.push_back(TraceEvent { seq, label });
+        buf.events.push_back(TraceEvent { seq, event });
         while buf.events.len() > buf.capacity {
             buf.events.pop_front();
         }
     }
 
     /// The most recent `n` events, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
+    fn recent(&self, n: usize) -> Vec<TraceEvent> {
         let buf = self.locked();
         let skip = buf.events.len().saturating_sub(n);
-        buf.events.iter().skip(skip).cloned().collect()
+        buf.events.iter().skip(skip).copied().collect()
     }
 
     /// Resize the ring, evicting oldest entries if it shrinks.
-    pub fn set_capacity(&self, capacity: usize) {
+    fn set_capacity(&self, capacity: usize) {
         let mut buf = self.locked();
         buf.capacity = capacity;
         while buf.events.len() > capacity {
             buf.events.pop_front();
         }
     }
-
-    /// Current capacity.
-    pub fn capacity(&self) -> usize {
-        self.locked().capacity
-    }
-}
-
-/// Map an arbitrary label to a protocol-token-safe form: alphanumerics and
-/// `. _ : , -` pass through, everything else becomes `_`.
-pub fn sanitize_label(label: &str) -> String {
-    if label.is_empty() {
-        return "_".to_string();
-    }
-    label
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | ':' | ',' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// A scope timer: created by [`Registry::span`], records the elapsed
@@ -413,17 +398,15 @@ impl Drop for Span<'_> {
     }
 }
 
-/// The registry: a closed-world set of counters and histograms (see
-/// [`COUNTERS`] / [`HISTOGRAMS`]), a trace ring, an injectable clock, and a
-/// global enable switch. Exposition order is the sorted name order, which is
-/// what the rp/5 `metrics` verb renders.
+/// The registry: one counter per [`Counter`] and one histogram per
+/// [`Hist`], indexed by id, plus a trace ring of [`Event`]s, an injectable
+/// clock, and a global enable switch. Exposition order is the ids' sorted
+/// wire order, which is what the rp/5 `metrics` verb renders.
 pub struct Registry {
     clock: Arc<dyn Clock>,
     enabled: AtomicBool,
-    counters: BTreeMap<&'static str, Counter>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    fallback_counter: Counter,
-    fallback_histogram: Histogram,
+    counters: [AtomicU64; Counter::ALL.len()],
+    histograms: [Histogram; Hist::ALL.len()],
     trace: TraceLog,
 }
 
@@ -445,10 +428,8 @@ impl Registry {
         Self {
             clock,
             enabled: AtomicBool::new(true),
-            counters: COUNTERS.iter().map(|&n| (n, Counter::default())).collect(),
-            histograms: HISTOGRAMS.iter().map(|&n| (n, Histogram::new())).collect(),
-            fallback_counter: Counter::default(),
-            fallback_histogram: Histogram::new(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            histograms: std::array::from_fn(|_| Histogram::new()),
             trace: TraceLog::new(DEFAULT_TRACE_CAPACITY),
         }
     }
@@ -469,65 +450,55 @@ impl Registry {
         self.clock.now_ns()
     }
 
-    /// Look up a counter; unknown names resolve to an unexported fallback.
-    pub fn counter(&self, name: &str) -> &Counter {
-        self.counters.get(name).unwrap_or(&self.fallback_counter)
-    }
-
-    /// Look up a histogram; unknown names resolve to an unexported fallback.
-    pub fn histogram(&self, name: &str) -> &Histogram {
-        self.histograms
-            .get(name)
-            .unwrap_or(&self.fallback_histogram)
-    }
-
     /// Increment a counter by one (no-op while disabled).
-    pub fn inc(&self, name: &str) {
-        if self.enabled() {
-            self.counter(name).inc();
-        }
+    pub fn inc(&self, counter: Counter) {
+        self.add(counter, 1);
     }
 
     /// Increment a counter by `n` (no-op while disabled).
-    pub fn add(&self, name: &str, n: u64) {
+    pub fn add(&self, counter: Counter, n: u64) {
         if self.enabled() {
-            self.counter(name).add(n);
+            self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Record one histogram observation (no-op while disabled).
-    pub fn record(&self, name: &str, v: u64) {
+    pub fn record(&self, hist: Hist, v: u64) {
         if self.enabled() {
-            self.histogram(name).record(v);
+            self.histograms[hist as usize].record(v);
         }
     }
 
-    /// Start an always-on scope timer for `name`; the returned [`Span`]
+    /// Start an always-on scope timer for `hist`; the returned [`Span`]
     /// records on drop. Inert while disabled.
-    pub fn span(&self, name: &str) -> Span<'_> {
+    pub fn span(&self, hist: Hist) -> Span<'_> {
         let enabled = self.enabled();
         Span {
-            hist: enabled.then(|| self.histogram(name)),
+            hist: enabled.then(|| &self.histograms[hist as usize]),
             clock: self.clock.as_ref(),
             start: if enabled { self.clock.now_ns() } else { 0 },
         }
     }
 
     /// Sampled stage timing: returns `Some(start_ns)` on the sampled
-    /// 1-in-[`SAMPLE_EVERY`] ticks of `name`'s histogram, `None` otherwise
-    /// (and always while disabled). Pair with [`Registry::record`].
-    pub fn sampled_start(&self, name: &str) -> Option<u64> {
-        if self.enabled() && self.histogram(name).tick_sampled() {
-            Some(self.clock.now_ns())
-        } else {
-            None
-        }
+    /// 1-in-[`SAMPLE_EVERY`] ticks of `hist`, `None` otherwise (and always
+    /// while disabled). Pair with [`Registry::record_since`].
+    pub fn sampled_start(&self, hist: Hist) -> Option<u64> {
+        (self.enabled() && self.histograms[hist as usize].tick_sampled()).then(|| self.now_ns())
+    }
+
+    /// Record the time elapsed since `start_ns` into `hist` and return the
+    /// clock reading it ended at, so consecutive stages share boundaries.
+    pub fn record_since(&self, hist: Hist, start_ns: u64) -> u64 {
+        let now = self.now_ns();
+        self.record(hist, now.saturating_sub(start_ns));
+        now
     }
 
     /// Append a trace event (no-op while disabled).
-    pub fn trace(&self, label: &str) {
+    pub fn trace(&self, event: Event) {
         if self.enabled() {
-            self.trace.push(label);
+            self.trace.push(event);
         }
     }
 
@@ -541,16 +512,29 @@ impl Registry {
         self.trace.set_capacity(capacity);
     }
 
+    /// One counter's current value.
+    pub(crate) fn value(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
+    }
+
+    /// One histogram's current summary.
+    pub(crate) fn summary(&self, hist: Hist) -> HistogramSummary {
+        self.histograms[hist as usize].snapshot()
+    }
+
     /// All counters in sorted name order.
     pub fn counter_values(&self) -> Vec<(&'static str, u64)> {
-        self.counters.iter().map(|(&n, c)| (n, c.get())).collect()
+        Counter::ALL
+            .into_iter()
+            .map(|c| (c.name(), self.value(c)))
+            .collect()
     }
 
     /// All histogram summaries in sorted name order.
     pub fn histogram_summaries(&self) -> Vec<(&'static str, HistogramSummary)> {
-        self.histograms
-            .iter()
-            .map(|(&n, h)| (n, h.snapshot()))
+        Hist::ALL
+            .into_iter()
+            .map(|h| (h.name(), self.summary(h)))
             .collect()
     }
 }
@@ -561,11 +545,6 @@ static GLOBAL: OnceLock<Registry> = OnceLock::new();
 /// monotonic clock). All engine instrumentation routes through this.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Convenience: an always-on span on the global registry.
-pub fn span(name: &str) -> Span<'static> {
-    global().span(name)
 }
 
 #[cfg(test)]
@@ -645,14 +624,14 @@ mod tests {
     fn span_times_scope_under_mock_clock() {
         let (clock, registry) = mock_registry();
         {
-            let _span = registry.span("wal.sync");
+            let _span = registry.span(Hist::WalSync);
             clock.advance(1_500);
         }
         {
-            let _span = registry.span("wal.sync");
+            let _span = registry.span(Hist::WalSync);
             clock.advance(40);
         }
-        let s = registry.histogram("wal.sync").snapshot();
+        let s = registry.summary(Hist::WalSync);
         assert_eq!(s.count, 2);
         assert_eq!(s.max, 1_500);
         assert_eq!(s.sum, 1_540);
@@ -677,63 +656,51 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let (clock, registry) = mock_registry();
         registry.set_enabled(false);
-        registry.inc("catalog.reload");
-        registry.record("wal.sync", 9);
-        registry.trace("session.open");
-        assert!(registry.sampled_start("service.handle").is_none());
+        registry.inc(Counter::CatalogReload);
+        registry.record(Hist::WalSync, 9);
+        registry.trace(Event::SessionOpen);
+        assert!(registry.sampled_start(Hist::ServiceHandle).is_none());
         {
-            let _span = registry.span("wal.sync");
+            let _span = registry.span(Hist::WalSync);
             clock.advance(100);
         }
-        assert_eq!(registry.counter("catalog.reload").get(), 0);
-        assert_eq!(registry.histogram("wal.sync").snapshot().count, 0);
+        assert_eq!(registry.value(Counter::CatalogReload), 0);
+        assert_eq!(registry.summary(Hist::WalSync).count, 0);
         assert!(registry.trace_recent(10).is_empty());
 
         registry.set_enabled(true);
-        registry.inc("catalog.reload");
-        assert_eq!(registry.counter("catalog.reload").get(), 1);
+        registry.inc(Counter::CatalogReload);
+        assert_eq!(registry.value(Counter::CatalogReload), 1);
     }
 
     #[test]
-    fn unknown_names_hit_the_fallback_without_exporting() {
-        let (_clock, registry) = mock_registry();
-        registry.inc("no.such.counter");
-        registry.record("no.such.histogram", 5);
-        assert!(registry.counter_values().iter().all(|&(_, v)| v == 0));
-        assert!(registry
-            .histogram_summaries()
-            .iter()
-            .all(|&(_, s)| s.count == 0));
-    }
-
-    #[test]
-    fn exposition_order_is_sorted_and_complete() {
-        let (_clock, registry) = mock_registry();
-        let counters: Vec<&str> = registry.counter_values().iter().map(|&(n, _)| n).collect();
-        assert_eq!(counters, COUNTERS);
-        let hists: Vec<&str> = registry
-            .histogram_summaries()
-            .iter()
-            .map(|&(n, _)| n)
-            .collect();
-        assert_eq!(hists, HISTOGRAMS);
-        let mut sorted = COUNTERS.to_vec();
-        sorted.sort_unstable();
-        assert_eq!(sorted, COUNTERS, "COUNTERS list must stay sorted");
-        let mut sorted = HISTOGRAMS.to_vec();
-        sorted.sort_unstable();
-        assert_eq!(sorted, HISTOGRAMS, "HISTOGRAMS list must stay sorted");
+    fn id_names_are_sorted_distinct_protocol_tokens() {
+        let lists: [Vec<&str>; 3] = [
+            Counter::ALL.map(Counter::name).to_vec(),
+            Hist::ALL.map(Hist::name).to_vec(),
+            Event::ALL.map(Event::name).to_vec(),
+        ];
+        for names in lists {
+            assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+            assert!(
+                names.iter().all(|n| crate::protocol::is_token(n)),
+                "{names:?}"
+            );
+        }
     }
 
     #[test]
     fn trace_ring_wraps_and_keeps_order() {
         let log = TraceLog::new(3);
-        for label in ["a", "b", "c", "d", "e"] {
-            log.push(label);
+        for event in &Event::ALL[..5] {
+            log.push(*event);
         }
         let events = log.recent(10);
-        let got: Vec<(u64, &str)> = events.iter().map(|e| (e.seq, e.label.as_str())).collect();
-        assert_eq!(got, vec![(2, "c"), (3, "d"), (4, "e")]);
+        let got: Vec<(u64, Event)> = events.iter().map(|e| (e.seq, e.event)).collect();
+        assert_eq!(
+            got,
+            vec![(2, Event::ALL[2]), (3, Event::ALL[3]), (4, Event::ALL[4])]
+        );
         // A narrower window returns the most recent slice, still oldest first.
         let tail = log.recent(2);
         let got: Vec<u64> = tail.iter().map(|e| e.seq).collect();
@@ -743,22 +710,14 @@ mod tests {
     #[test]
     fn trace_capacity_is_runtime_settable() {
         let log = TraceLog::new(4);
-        for label in ["a", "b", "c", "d"] {
-            log.push(label);
+        for _ in 0..4 {
+            log.push(Event::CommitFlush);
         }
         log.set_capacity(2);
-        assert_eq!(log.capacity(), 2);
         let got: Vec<u64> = log.recent(10).iter().map(|e| e.seq).collect();
         assert_eq!(got, vec![2, 3]);
         log.set_capacity(0);
-        log.push("ignored");
+        log.push(Event::CommitFlush);
         assert!(log.recent(10).is_empty());
-    }
-
-    #[test]
-    fn labels_sanitize_to_protocol_tokens() {
-        assert_eq!(sanitize_label("session.open"), "session.open");
-        assert_eq!(sanitize_label("bad label;x=1"), "bad_label_x_1");
-        assert_eq!(sanitize_label(""), "_");
     }
 }

@@ -761,13 +761,32 @@ pub struct WireHistogram {
     pub mean: f64,
 }
 
+impl WireHistogram {
+    /// The wire form of a registry histogram's summary.
+    pub fn from_summary(name: &str, s: &crate::obs::HistogramSummary) -> Self {
+        Self {
+            name: name.to_string(),
+            count: s.count,
+            p50: s.p50,
+            p90: s.p90,
+            p99: s.p99,
+            max: s.max,
+            mean: if s.count == 0 {
+                0.0
+            } else {
+                s.sum as f64 / s.count as f64
+            },
+        }
+    }
+}
+
 /// One trace-ring entry as rendered by [`Response::Trace`]:
 /// `seq=N label=LABEL`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireTraceEvent {
     /// Position in the process-wide event stream.
     pub seq: u64,
-    /// The sanitized event label, e.g. `session.open`.
+    /// The event's name, e.g. `session.open`.
     pub label: String,
 }
 

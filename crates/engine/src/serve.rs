@@ -41,6 +41,7 @@
 use std::io::{self, BufRead, Read, Write};
 
 use crate::catalog::{Catalog, CatalogSession};
+use crate::obs::{Counter, Event, Hist};
 use crate::protocol::{ErrorCode, Response};
 use crate::service::SessionStats;
 
@@ -67,16 +68,16 @@ pub fn serve<R: BufRead, W: Write>(
     mut output: W,
 ) -> io::Result<SessionStats> {
     let obs = crate::obs::global();
-    let session_start = obs.now_ns();
-    obs.inc("serve.sessions_opened");
-    obs.trace("session.open");
+    obs.inc(Counter::ServeSessionsOpened);
+    obs.trace(Event::SessionOpen);
+    let _open = OpenSession {
+        start: obs.now_ns(),
+    };
     let mut routing = CatalogSession::new(catalog);
     let banner = routing.hello();
     writeln!(output, "{}", banner.encode())?;
     output.flush()?;
     if banner.is_error() {
-        obs.inc("serve.sessions_closed");
-        obs.trace("session.close");
         return Ok(routing.totals());
     }
     let mut buf = Vec::new();
@@ -84,7 +85,7 @@ pub fn serve<R: BufRead, W: Write>(
         // Always-on per-request latency (parse through write+flush):
         // records into `serve.request` when the guard drops at the end
         // of this iteration — including the `bye` break path.
-        let _request_span = obs.span("serve.request");
+        let _request_span = obs.span(Hist::ServeRequest);
         let response = match line {
             Ok(line) => routing.handle_line(line),
             Err(unreadable) => Some(routing.answer_locally(unreadable)),
@@ -92,10 +93,10 @@ pub fn serve<R: BufRead, W: Write>(
         let Some(response) = response else {
             continue; // blank line
         };
-        let t0 = obs.sampled_start("serve.encode");
+        let t0 = obs.sampled_start(Hist::ServeEncode);
         let text = response.encode();
         if let Some(t0) = t0 {
-            obs.record("serve.encode", obs.now_ns().saturating_sub(t0));
+            obs.record_since(Hist::ServeEncode, t0);
         }
         writeln!(output, "{text}")?;
         output.flush()?;
@@ -103,10 +104,23 @@ pub fn serve<R: BufRead, W: Write>(
             break;
         }
     }
-    obs.inc("serve.sessions_closed");
-    obs.trace("session.close");
-    obs.record("serve.session", obs.now_ns().saturating_sub(session_start));
     Ok(routing.totals())
+}
+
+/// The one close site of a session: dropped on every exit from [`serve`]
+/// — quit, end of input, a banner error, a transport error or a read
+/// timeout — so each opened session is counted closed exactly once.
+struct OpenSession {
+    start: u64,
+}
+
+impl Drop for OpenSession {
+    fn drop(&mut self) {
+        let obs = crate::obs::global();
+        obs.inc(Counter::ServeSessionsClosed);
+        obs.trace(Event::SessionClose);
+        obs.record_since(Hist::ServeSession, self.start);
+    }
 }
 
 /// Reads the next request line into `buf`, stripping its `\n` (and a

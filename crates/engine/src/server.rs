@@ -290,7 +290,7 @@ fn handle_connection(
 
 /// Answers one `busy` error line and closes (no `HELLO`, no session).
 fn refuse_busy(stream: TcpStream, cap: usize) {
-    crate::obs::global().inc("server.busy_refused");
+    crate::obs::global().inc(crate::obs::Counter::ServerBusyRefused);
     let response = Response::Error {
         code: ErrorCode::Busy,
         message: format!("server at its {cap}-connection cap; retry later"),

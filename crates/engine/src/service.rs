@@ -38,11 +38,12 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use rp_table::CountQuery;
 
 use crate::engine::{Answer, QueryEngine};
+use crate::obs::{Event, Hist};
 use crate::protocol::{
     ErrorCode, ProtocolError, ReleaseMeta, Request, Response, Stat, StatsSnapshot, WireAnswer,
     WireQuery, WireRecord, PROTOCOL_VERSION,
@@ -139,50 +140,25 @@ struct StreamBackend {
     state_out: Option<PathBuf>,
 }
 
-/// Histogram handles resolved once per process. The per-request path
-/// runs for every line of every session, so it pays atomics only — never
-/// a registry name lookup.
-struct HotPathObs {
-    handle: &'static crate::obs::Histogram,
-    parse: &'static crate::obs::Histogram,
-    execute: &'static crate::obs::Histogram,
-    cache_lookup: &'static crate::obs::Histogram,
-}
-
-fn hot_path_obs() -> &'static HotPathObs {
-    static HOT: OnceLock<HotPathObs> = OnceLock::new();
-    HOT.get_or_init(|| {
-        let obs = crate::obs::global();
-        HotPathObs {
-            handle: obs.histogram("service.handle"),
-            parse: obs.histogram("service.parse"),
-            execute: obs.histogram("service.execute"),
-            cache_lookup: obs.histogram("service.cache_lookup"),
-        }
-    })
-}
-
 /// Parses one raw request line and answers it with `answer`, which gets
 /// the request or its parse error. Returns `None` for blank lines. The
 /// one place the per-request stages are timed, for bare services and
-/// catalog sessions alike: sampled 1-in-8 (see `crate::obs`), one
-/// clock-read pair per boundary — parse = t1-t0, execute = t2-t1,
-/// handle = t2-t0.
+/// catalog sessions alike: sampled 1-in-8 on `service.handle`'s tick
+/// (see `crate::obs`), one clock read per boundary — parse = t1-t0,
+/// execute = t2-t1, handle = t2-t0.
 pub(crate) fn answer_line(
     line: &str,
     answer: impl FnOnce(Result<Request, ProtocolError>) -> Response,
 ) -> Option<Response> {
     let obs = crate::obs::global();
-    let hot = hot_path_obs();
-    let t0 = (obs.enabled() && hot.handle.tick_sampled()).then(|| obs.now_ns());
+    let t0 = obs.sampled_start(Hist::ServiceHandle);
     let parsed = Request::parse(line).transpose();
     let t1 = t0.map(|_| obs.now_ns());
     let response = answer(parsed?);
     if let (Some(t0), Some(t1)) = (t0, t1) {
-        let t2 = obs.now_ns();
-        hot.parse.record(t1.saturating_sub(t0));
-        hot.execute.record(t2.saturating_sub(t1));
-        hot.handle.record(t2.saturating_sub(t0));
+        obs.record(Hist::ServiceParse, t1.saturating_sub(t0));
+        let t2 = obs.record_since(Hist::ServiceExecute, t1);
+        obs.record(Hist::ServiceHandle, t2.saturating_sub(t0));
     }
     Some(response)
 }
@@ -470,7 +446,7 @@ impl QueryService {
                         .into_iter()
                         .map(|e| crate::protocol::WireTraceEvent {
                             seq: e.seq,
-                            label: e.label,
+                            label: e.event.name().to_string(),
                         })
                         .collect(),
                 )
@@ -526,19 +502,7 @@ impl QueryService {
         let histograms = obs
             .histogram_summaries()
             .into_iter()
-            .map(|(name, s)| crate::protocol::WireHistogram {
-                name: name.to_string(),
-                count: s.count,
-                p50: s.p50,
-                p90: s.p90,
-                p99: s.p99,
-                max: s.max,
-                mean: if s.count == 0 {
-                    0.0
-                } else {
-                    s.sum as f64 / s.count as f64
-                },
-            })
+            .map(|(name, s)| crate::protocol::WireHistogram::from_summary(name, &s))
             .collect();
         Response::Metrics {
             counters,
@@ -746,15 +710,14 @@ impl QueryService {
             // cache hit/miss trace events so tracing stays off the
             // steady-state hot path.
             let obs = crate::obs::global();
-            let cache_lookup = hot_path_obs().cache_lookup;
-            let t0 = (obs.enabled() && cache_lookup.tick_sampled()).then(|| obs.now_ns());
+            let t0 = obs.sampled_start(Hist::ServiceCacheLookup);
             let hit = self.cache_guard().get(&key);
             if let Some(t0) = t0 {
-                cache_lookup.record(obs.now_ns().saturating_sub(t0));
+                obs.record_since(Hist::ServiceCacheLookup, t0);
                 obs.trace(if hit.is_some() {
-                    "cache.hit"
+                    Event::CacheHit
                 } else {
-                    "cache.miss"
+                    Event::CacheMiss
                 });
             }
             if let Some(hit) = hit {
@@ -1283,8 +1246,7 @@ mod tests {
         assert_eq!(lookup("service.requests"), 2);
         assert_eq!(lookup("service.answered"), 2);
         assert_eq!(lookup("service.cache_misses"), 1);
-        let hist_names: Vec<&str> = histograms.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(hist_names, crate::obs::HISTOGRAMS.to_vec());
+        assert!(!histograms.is_empty());
         // The response is wire-canonical: parse ∘ encode = id.
         assert_eq!(Response::parse(&r.encode()).unwrap(), r);
         // `trace` answers a canonical line too.
@@ -1293,6 +1255,64 @@ mod tests {
         };
         assert!(matches!(t, Response::Trace(_)), "{t:?}");
         assert_eq!(Response::parse(&t.encode()).unwrap(), t);
+    }
+
+    #[test]
+    fn metrics_exposition_names_are_pinned() {
+        let s = service(4);
+        let mut session = SessionStats::default();
+        let Some(Response::Metrics {
+            counters,
+            histograms,
+        }) = s.handle_line("metrics", &mut session)
+        else {
+            panic!("expected metrics response");
+        };
+        let counters: Vec<&str> = counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            counters,
+            [
+                "catalog.reload",
+                "catalog.route_fast",
+                "catalog.route_slow",
+                "catalog.seal",
+                "fault.injected",
+                "serve.sessions_closed",
+                "serve.sessions_opened",
+                "server.busy_refused",
+                "service.answered",
+                "service.cache_hits",
+                "service.cache_misses",
+                "service.degraded",
+                "service.errors",
+                "service.faults",
+                "service.inserts",
+                "service.requests",
+                "service.sessions",
+                "stream.degraded",
+                "stream.replayed_events",
+                "stream.republish",
+            ]
+        );
+        let histograms: Vec<&str> = histograms.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(
+            histograms,
+            [
+                "commit.batch_events",
+                "serve.encode",
+                "serve.request",
+                "serve.session",
+                "service.cache_lookup",
+                "service.execute",
+                "service.handle",
+                "service.parse",
+                "spill.page_read",
+                "spill.page_write",
+                "stream.replay",
+                "wal.append",
+                "wal.sync",
+            ]
+        );
     }
 
     #[test]

@@ -35,6 +35,7 @@
 
 use std::time::Duration;
 
+use crate::obs::{Counter, Event, Hist};
 use crate::stream::wal::{Wal, WalEvent};
 use crate::stream::{StreamConfig, StreamError};
 
@@ -103,8 +104,8 @@ impl LogManager {
     fn poison(&mut self, message: String) -> StreamError {
         self.poisoned = Some(message.clone());
         let obs = crate::obs::global();
-        obs.inc("stream.degraded");
-        obs.trace("stream.degraded");
+        obs.inc(Counter::StreamDegraded);
+        obs.trace(Event::StreamDegraded);
         StreamError::Degraded {
             durable_seq: self.durable_seq,
             message,
@@ -185,8 +186,8 @@ impl LogManager {
         self.check_poison()?;
         let obs = crate::obs::global();
         if self.pending > 0 {
-            obs.record("commit.batch_events", self.pending);
-            obs.trace("commit.flush");
+            obs.record(Hist::CommitBatchEvents, self.pending);
+            obs.trace(Event::CommitFlush);
             if let Err(e) = self.wal.sync() {
                 return Err(self.poison(format!("WAL fsync failed: {e}")));
             }

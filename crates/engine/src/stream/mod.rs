@@ -108,6 +108,7 @@ use rp_core::privacy::PrivacyParams;
 use rp_table::{AttrId, CountQuery, Schema, TableBuilder, TableError, Term};
 
 use crate::fault::{self, FaultHandle};
+use crate::obs::{Counter, Event, Hist};
 use crate::publication::{LiveGroupSnapshot, LiveState, Publication, PublicationError};
 use crate::stream::commit::LogManager;
 use crate::stream::rng::GroupRng;
@@ -437,7 +438,7 @@ impl StreamPublisher {
                 // cursor replay below.
             }
             let obs = crate::obs::global();
-            let _replay_span = obs.span("stream.replay");
+            let _replay_span = obs.span(Hist::StreamReplay);
             let mut replayed: u64 = 0;
             for event in &file.events {
                 if event.seq() > covered {
@@ -446,8 +447,8 @@ impl StreamPublisher {
                 }
             }
             if replayed > 0 {
-                obs.add("stream.replayed_events", replayed);
-                obs.trace("stream.replay");
+                obs.add(Counter::StreamReplayedEvents, replayed);
+                obs.trace(Event::StreamReplay);
             }
         }
         if append {
@@ -653,8 +654,8 @@ impl StreamPublisher {
             self.apply(&event)?;
             republished = true;
             let obs = crate::obs::global();
-            obs.inc("stream.republish");
-            obs.trace("stream.republish");
+            obs.inc(Counter::StreamRepublish);
+            obs.trace(Event::StreamRepublish);
         }
         let group_size = self
             .inner

@@ -42,6 +42,7 @@ use std::path::Path;
 use rp_core::incremental::GroupStatus;
 
 use crate::fault::{self, CheckedFile, FaultHandle};
+use crate::obs::Hist;
 use crate::stream::StreamError;
 
 /// Fixed page size of the spill heap.
@@ -182,7 +183,7 @@ impl SpillStore {
     /// first fitting free run (or extends the file as a last resort).
     pub fn spill(&mut self, key: &[u32], group: &SpilledGroup) -> std::io::Result<()> {
         assert_eq!(group.raw_hist.len(), self.m, "raw histogram arity");
-        let _span = crate::obs::global().span("spill.page_write");
+        let _span = crate::obs::global().span(Hist::SpillPageWrite);
         let mut line = String::from("g");
         for &code in key {
             line.push('\t');
@@ -229,7 +230,7 @@ impl SpillStore {
     /// Reads a group's latest spilled state without removing it from the
     /// index (used when snapshotting the whole stream).
     pub fn read(&mut self, key: &[u32]) -> Result<SpilledGroup, StreamError> {
-        let _span = crate::obs::global().span("spill.page_read");
+        let _span = crate::obs::global().span(Hist::SpillPageRead);
         let extent = *self
             .index
             .get(key)

@@ -64,6 +64,7 @@ use rp_table::Schema;
 use crate::codec::{canon_f64, read_schema, write_schema, Lines};
 use crate::fault::{self, CheckedFile, FaultHandle};
 use crate::fsutil;
+use crate::obs::Hist;
 use crate::publication::PublicationError;
 use crate::stream::rng::GroupRng;
 use crate::stream::StreamError;
@@ -748,10 +749,10 @@ impl Wal {
             "WAL events must be appended in sequence"
         );
         let obs = crate::obs::global();
-        let t0 = obs.sampled_start("wal.append");
+        let t0 = obs.sampled_start(Hist::WalAppend);
         writeln!(self.writer, "{}", event.encode())?;
         if let Some(t0) = t0 {
-            obs.record("wal.append", obs.now_ns().saturating_sub(t0));
+            obs.record_since(Hist::WalAppend, t0);
         }
         self.next_seq += 1;
         Ok(())
@@ -768,7 +769,7 @@ impl Wal {
     pub fn sync(&mut self) -> std::io::Result<()> {
         // Always-on: fsync dominates its own measurement cost, and the
         // sync-latency distribution is the whole point of group commit.
-        let _span = crate::obs::global().span("wal.sync");
+        let _span = crate::obs::global().span(Hist::WalSync);
         self.writer.flush()?;
         self.writer.get_ref().sync_data()?;
         if !self.dir_synced {
